@@ -258,10 +258,10 @@ class AnnotationResult:
 class AnnotationCache:
     """Append-only JSONL cache keyed by (prompt_hash, doc_id).
 
-    Each entry is one line; a torn final line from a crash is skipped on
-    load and dropped by the next ``compact()``, so a crash never corrupts
-    previously stored entries. Reads are lock-free after load; writes are
-    serialized.
+    Each entry is one line. Loading cuts off a torn final line left by a
+    crash, so the next append starts a fresh line and a crash never corrupts
+    stored entries or ones written after it. Reads are lock-free after load;
+    writes are serialized.
     """
 
     def __init__(self, path: str | Path):
@@ -273,11 +273,12 @@ class AnnotationCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with self.path.open(encoding="utf-8") as fh:
+        complete = 0  # bytes up to the end of the last complete line
+        with self.path.open("rb") as fh:
             for line in fh:
-                if not line.endswith("\n"):
-                    logger.warning("cache %s: dropping torn final line", self.path.name)
+                if not line.endswith(b"\n"):
                     break
+                complete += len(line)
                 try:
                     record = json.loads(line)
                     result = AnnotationResult.from_record(record)
@@ -285,6 +286,9 @@ class AnnotationCache:
                     logger.warning("cache %s: skipping unreadable entry", self.path.name)
                     continue
                 self._entries[(result.prompt_hash, result.doc_id)] = result
+        if complete < self.path.stat().st_size:
+            logger.warning("cache %s: truncating a torn final line", self.path.name)
+            os.truncate(self.path, complete)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -38,7 +38,7 @@ from .annotate import (
     read_annotations,
     write_annotations,
 )
-from .codebook import Codebook, PromptVariant, resolve_codebook
+from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
 from .ingest import Corpus, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
@@ -99,10 +99,12 @@ class RunConfig:
             raise ConfigError(f"{field_name} path does not exist: {value}")
         return Path(value)
 
-    def semantic_digest(self, command: str, codebook: Codebook) -> str:
+    def semantic_digest(self, command: str, codebook_digest: str | None = None) -> str:
+        """Digest of the settings that shape ``command``'s outputs; only
+        ``annotate`` passes a ``codebook_digest``."""
         payload = {
             "command": command,
-            "codebook_digest": codebook.digest() if command == "annotate" else None,
+            "codebook_digest": codebook_digest,
             "variant": self.variant if command == "annotate" else None,
             "model": self.model if command == "annotate" else None,
             "failure_threshold": self.failure_threshold if command == "annotate" else None,
@@ -206,7 +208,7 @@ def cmd_annotate(config: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": "annotate",
-        "config_digest": config.semantic_digest("annotate", codebook),
+        "config_digest": config.semantic_digest("annotate", codebook.digest()),
         "model_id": model_config.model_id,
         "codebook": {"name": codebook.name, "digest": codebook.digest()},
         "variant": str(variant),
@@ -244,9 +246,15 @@ def _human_irr(gold_labels) -> dict[str, object] | None:
     except (UndefinedMetric, ValueError):
         alpha = None
         flags.append("alpha_undefined")
+    try:
+        kappa: float | None = brennan_prediger(table, q=2)
+    except ValueError:
+        # no document is coded twice, so there is no pair to agree
+        kappa = None
+        flags.append("kappa_undefined")
     return {
         "alpha_k": alpha,
-        "kappa_bp": brennan_prediger(table, q=2),
+        "kappa_bp": kappa,
         "n_items": len(table.items),
         "n_raters": len(coders),
         "flags": flags,
@@ -291,7 +299,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": "evaluate",
-        "config_digest": config.semantic_digest("evaluate", resolve_codebook(config.codebook)),
+        "config_digest": config.semantic_digest("evaluate"),
         "inputs": {
             "corpus": _input_entry(corpus_path, n_documents=len(corpus)),
             "gold": _input_entry(gold_path, n_labels=len(gold_labels)),
@@ -390,7 +398,7 @@ def cmd_study(config: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
         "command": "study",
-        "config_digest": config.semantic_digest("study", resolve_codebook(config.codebook)),
+        "config_digest": config.semantic_digest("study"),
         "model_variant": variant.value,
         "reference_country": design.reference_country,
         "filters": {

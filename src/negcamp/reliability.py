@@ -1,16 +1,21 @@
 """Agreement metrics for label sets: accuracy, F1 battery, Krippendorff's
 alpha, and the Brennan-Prediger coefficient, plus grouped reports.
 
-All metrics are computed in double precision with a fixed summation order
-(items sorted by id, raters in table order) so repeated runs produce
-bit-identical reports. Comparisons operate on the id-intersection of the two
-label sets.
+Alpha and pairwise agreement depend only on how many 0s and 1s each item
+received, so both are computed from a histogram of per-item (n_0, n_1)
+counts (Krippendorff's values-by-units form). Their sums are exact
+(integers and ``Fraction``s) and rounded once, so reports are bit-identical
+whatever the order of items, raters or cells. Comparisons operate on the
+id-intersection of the two label sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 from typing import Iterable, Mapping
 
 from .errors import EvaluationJoinError, UndefinedMetric
@@ -31,11 +36,12 @@ class RatingTable:
     values: Mapping[tuple[str, str], int]
 
     def __post_init__(self) -> None:
+        items, raters = set(self.items), set(self.raters)
         filled: set[str] = set()
         for (item, rater), label in self.values.items():
             if label not in (0, 1):
                 raise ValueError(f"non-binary label {label!r} for ({item!r}, {rater!r})")
-            if item not in self.items or rater not in self.raters:
+            if item not in items or rater not in raters:
                 raise ValueError(f"cell ({item!r}, {rater!r}) outside the declared axes")
             filled.add(item)
         empty = [item for item in self.items if item not in filled]
@@ -73,9 +79,13 @@ class RatingTable:
             values[(doc_id, predicted_name)] = predicted[doc_id]
         return cls(items=tuple(shared), raters=(gold_name, predicted_name), values=values)
 
-    def item_values(self, item: str) -> list[int]:
-        """Filled labels of one item, in rater order."""
-        return [self.values[(item, r)] for r in self.raters if (item, r) in self.values]
+    @cached_property
+    def patterns(self) -> Counter[tuple[int, int]]:
+        """Number of items per (n_0, n_1): how many 0 and 1 labels an item got."""
+        counts: dict[str, list[int]] = {}
+        for (item, _), label in self.values.items():
+            counts.setdefault(item, [0, 0])[label] += 1
+        return Counter(map(tuple, counts.values()))
 
 
 @dataclass(frozen=True)
@@ -170,27 +180,25 @@ def krippendorff_alpha_nominal(table: RatingTable) -> float:
     category in the pairable data) and ``ValueError`` when fewer than two
     items are pairable.
     """
-    coincidence: dict[tuple[int, int], float] = {}
+    # o_ck = sum over items of n_c * (n_k - [c == k]) / (m - 1), summed exactly.
+    coincidence = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
     pairable_items = 0
-    for item in table.items:
-        vals = table.item_values(item)
-        m = len(vals)
+    for counts, n_items in table.patterns.items():
+        m = sum(counts)
         if m < 2:
             continue
-        pairable_items += 1
-        weight = 1.0 / (m - 1)
-        for i, a in enumerate(vals):
-            for j, b in enumerate(vals):
-                if i != j:
-                    coincidence[(a, b)] = coincidence.get((a, b), 0.0) + weight
+        pairable_items += n_items
+        for c in (0, 1):
+            for k in (0, 1):
+                coincidence[c][k] += Fraction(n_items * counts[c] * (counts[k] - (c == k)), m - 1)
     if pairable_items < 2:
         raise ValueError("alpha requires at least two items with two or more ratings")
 
-    categories = sorted({c for pair in coincidence for c in pair})
-    margins = {c: sum(coincidence.get((c, k), 0.0) for k in categories) for c in categories}
-    n = sum(margins.values())
-    observed = sum(v for (c, k), v in coincidence.items() if c != k) / n
-    expected = sum(margins[c] * margins[k] for c in categories for k in categories if c != k) / (n * (n - 1))
+    (o_00, o_01), (o_10, o_11) = ([float(v) for v in row] for row in coincidence)
+    margin_0, margin_1 = o_00 + o_01, o_10 + o_11
+    n = margin_0 + margin_1
+    observed = (o_01 + o_10) / n
+    expected = (margin_0 * margin_1 + margin_1 * margin_0) / (n * (n - 1))
     if expected == 0.0:
         raise UndefinedMetric("only one category occurs in the pairable ratings")
     return 1.0 - observed / expected
@@ -198,14 +206,10 @@ def krippendorff_alpha_nominal(table: RatingTable) -> float:
 
 def pairwise_percent_agreement(table: RatingTable) -> float:
     """Fraction of agreeing rater pairs, pooled over items and rater pairs."""
-    agree = 0
-    total = 0
-    for item in table.items:
-        vals = table.item_values(item)
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                total += 1
-                agree += vals[i] == vals[j]
+    agree = total = 0
+    for (n_0, n_1), n_items in table.patterns.items():
+        agree += n_items * (comb(n_0, 2) + comb(n_1, 2))
+        total += n_items * comb(n_0 + n_1, 2)
     if total == 0:
         raise ValueError("no pairable ratings")
     return agree / total
@@ -242,19 +246,7 @@ class ReliabilityReport:
     flags: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "acc": self.acc,
-            "f1_0": self.f1_0,
-            "f1_1": self.f1_1,
-            "f1_w": self.f1_w,
-            "f1_macro": self.f1_macro,
-            "alpha_k": self.alpha_k,
-            "kappa_bp": self.kappa_bp,
-            "supp_0": self.supp_0,
-            "supp_1": self.supp_1,
-            "n": self.n,
-            "flags": list(self.flags),
-        }
+        return {**asdict(self), "flags": list(self.flags)}
 
 
 def compare(gold: Mapping[str, int], predicted: Mapping[str, int]) -> ReliabilityReport:
@@ -293,14 +285,6 @@ class GroupedReport:
     n_gold_only: int = 0
     n_predicted_only: int = 0
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "pooled": self.pooled.to_dict(),
-            "groups": {k: v.to_dict() for k, v in sorted(self.groups.items())},
-            "n_gold_only": self.n_gold_only,
-            "n_predicted_only": self.n_predicted_only,
-        }
-
 
 def grouped_report(
     gold: Mapping[str, int],
@@ -316,12 +300,14 @@ def grouped_report(
     if not shared:
         raise EvaluationJoinError("gold and predicted labels share no document ids")
     pooled = compare(gold, predicted)
-    by_group: dict[str, ReliabilityReport] = {}
-    for key in sorted({groups[d] for d in shared if d in groups}):
-        member_ids = [d for d in shared if groups.get(d) == key]
-        g = {d: gold[d] for d in member_ids}
-        p = {d: predicted[d] for d in member_ids}
-        by_group[key] = compare(g, p)
+    members: dict[str, list[str]] = {}
+    for doc_id in shared:
+        if doc_id in groups:
+            members.setdefault(groups[doc_id], []).append(doc_id)
+    by_group = {
+        key: compare({d: gold[d] for d in ids}, {d: predicted[d] for d in ids})
+        for key, ids in sorted(members.items())
+    }
     return GroupedReport(
         pooled=pooled,
         groups=by_group,

@@ -157,15 +157,17 @@ class DesignMatrix:
         return len(set(self.clusters))
 
 
-def _check_rank(X: np.ndarray, columns: Sequence[str]) -> None:
-    # Pivoted QR flags the dependent columns by name.
-    _, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
+def _check_rank(X: np.ndarray, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivoted QR of X (X[:, pivots] = q @ r), raising with the dependent
+    columns by name when X lacks full column rank."""
+    q, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
         offenders = sorted(columns[p] for p in pivots[rank:])
         raise RankDeficient(offenders)
+    return q, r, pivots
 
 
 def build_design(
@@ -267,14 +269,14 @@ class OlsFit:
 
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
-    """Least squares via QR decomposition."""
+    """Least squares via the pivoted QR decomposition of the rank check."""
     X, y = design.X, design.y
     n, k = X.shape
     if n <= k:
         raise DesignError(f"underdetermined system: {n} observations for {k} parameters")
-    _check_rank(X, design.columns)
-    q, r = np.linalg.qr(X)
-    beta = linalg.solve_triangular(r, q.T @ y)
+    q, r, pivots = _check_rank(X, design.columns)
+    beta = np.empty(k)
+    beta[pivots] = linalg.solve_triangular(r, q.T @ y)
     fitted = X @ beta
     residuals = y - fitted
     rss = float(residuals @ residuals)
@@ -282,11 +284,13 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
     r_inv = linalg.solve_triangular(r, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(pivots, pivots)] = r_inv @ r_inv.T
     return OlsFit(
         beta=beta,
         fitted=fitted,
         residuals=residuals,
-        xtx_inv=r_inv @ r_inv.T,
+        xtx_inv=xtx_inv,
         r2=r2,
         adj_r2=adj_r2,
         rmse=float(np.sqrt(rss / (n - k))),
@@ -348,22 +352,19 @@ class RegressionFit:
         i = self.columns.index(name)
         return float(self.beta[i]), float(self.se[i]), float(self.ci_low[i]), float(self.ci_high[i])
 
-    def to_dict(self, hide_fixed_effects: bool = False) -> dict[str, object]:
+    def to_dict(self) -> dict[str, object]:
         """The ``regression.json`` body; model-derived floats go through
         ``canonical_float``."""
-        table = []
-        for i, name in enumerate(self.columns):
-            if hide_fixed_effects and name.startswith("Country: "):
-                continue
-            table.append(
-                {
-                    "name": name,
-                    "estimate": canonical_float(self.beta[i]),
-                    "se": canonical_float(self.se[i]),
-                    "ci_low": canonical_float(self.ci_low[i]),
-                    "ci_high": canonical_float(self.ci_high[i]),
-                }
-            )
+        table = [
+            {
+                "name": name,
+                "estimate": canonical_float(self.beta[i]),
+                "se": canonical_float(self.se[i]),
+                "ci_low": canonical_float(self.ci_low[i]),
+                "ci_high": canonical_float(self.ci_high[i]),
+            }
+            for i, name in enumerate(self.columns)
+        ]
         return {
             "coefficients": table,
             "r2": canonical_float(self.r2),

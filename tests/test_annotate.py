@@ -170,6 +170,20 @@ class TestAnnotationCache:
         assert len(reloaded) == 1
         assert reloaded.get(r1.prompt_hash, "d1") is not None
 
+    def test_put_after_torn_line_survives_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"doc_id": "d2", "label":')  # simulated crash mid-write
+        resumed = AnnotationCache(path)
+        r3 = classify_one(MockTransport({"d3": "0"}), CONFIG, prompt_for("d3"), "d3", cache=resumed, retry=MOCK_RETRY)
+        reloaded = AnnotationCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get(r1.prompt_hash, "d1").label == 1
+        assert reloaded.get(r3.prompt_hash, "d3").label == 0
+        assert path.read_text(encoding="utf-8").count("\n") == 2
+
     def test_compaction_preserves_entries(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = AnnotationCache(path)

@@ -183,6 +183,31 @@ class TestEvaluateCommand:
         # restricting the gold standard to one coder keeps the model comparison intact
         assert report["pooled"]["n"] == 60
 
+    def test_gold_coders_without_overlap_leave_irr_undefined(self, data_dir, golden_dir, tmp_path):
+        # every document coded once, alternately by two coders: no pair to agree
+        base = (data_dir / "gold.csv").read_text(encoding="utf-8").splitlines()
+        split = [base[0]]
+        for k, line in enumerate(base[1:]):
+            doc_id, _, label = line.split(",")
+            split.append(f"{doc_id},gold{1 + k % 2},{label}")
+        gold = tmp_path / "gold_split.csv"
+        gold.write_text("\n".join(split) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--corpus", data_dir / "corpus.jsonl", "--gold", gold,
+            "--annotations", golden_dir / "annotations.jsonl", "--out", out,
+        )
+        assert code == 0
+        report = json.loads((out / "evaluation.json").read_text(encoding="utf-8"))
+        assert report["human_irr"] == {
+            "alpha_k": None,
+            "kappa_bp": None,
+            "n_items": 60,
+            "n_raters": 2,
+            "flags": ["alpha_undefined", "kappa_undefined"],
+        }
+        assert report["pooled"]["n"] == 60
+
 
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
@@ -301,3 +326,24 @@ class TestManifests:
             assert annotate_fixture(data_dir, out) == 0
         manifests = [(out / "manifest_annotate.json").read_bytes() for out in outs]
         assert manifests[0] == manifests[1]
+
+    def test_codebook_setting_ignored_outside_annotate(self, data_dir, golden_dir, tmp_path):
+        # a config shared across commands may name a codebook that only
+        # annotate resolves; evaluate and study neither need nor digest it
+        config_path = tmp_path / "shared.json"
+        config_path.write_text(json.dumps({"codebook": "no_such_codebook"}), encoding="utf-8")
+        annotations = golden_dir / "annotations.jsonl"
+        out = tmp_path / "out"
+        assert run(
+            "evaluate", "--config", config_path, "--corpus", data_dir / "corpus.jsonl",
+            "--gold", data_dir / "gold.csv", "--annotations", annotations, "--out", out,
+        ) == 0
+        assert (out / "manifest_evaluate.json").read_bytes() == (golden_dir / "manifest_evaluate.json").read_bytes()
+        assert run(
+            "study", "--config", config_path, "--corpus", data_dir / "corpus.jsonl",
+            "--annotations", annotations, "--party-meta", data_dir / "parties.csv",
+            "--min-tweets", 0, "--model-variant", "m1", "--out", out / "study_m1",
+        ) == 0
+        assert (out / "study_m1" / "manifest_study.json").read_bytes() == (
+            golden_dir / "study_m1" / "manifest_study.json"
+        ).read_bytes()

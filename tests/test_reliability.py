@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from oracles import alpha_brute, f1_brute, kappa_bp_brute
 from negcamp.errors import EvaluationJoinError, UndefinedMetric
@@ -27,6 +27,21 @@ def pair_table(a, b):
 
 def maps(a, b):
     return {f"i{k}": v for k, v in enumerate(a)}, {f"i{k}": v for k, v in enumerate(b)}
+
+
+doc_ids = st.sampled_from([f"d{k}" for k in range(16)])
+
+# Items rated by one to five of the raters a-e, each rating 0 or 1.
+multi_rater_units = st.lists(
+    st.dictionaries(st.sampled_from("abcde"), st.integers(0, 1), min_size=1, max_size=5),
+    min_size=1,
+    max_size=12,
+)
+
+
+def multi_rater_table(units):
+    records = [(f"i{k}", rater, label) for k, unit in enumerate(units) for rater, label in unit.items()]
+    return RatingTable.from_records(records), [list(unit.values()) for unit in units]
 
 
 class TestConfusion:
@@ -115,17 +130,22 @@ class TestAlpha:
         with pytest.raises(ValueError):
             krippendorff_alpha_nominal(table)
 
-    def test_missing_cells_against_oracle(self):
-        # three raters, two items rated by only two of them
-        records = [
-            ("i1", "a", 0), ("i1", "b", 0), ("i1", "c", 1),
-            ("i2", "a", 1), ("i2", "b", 1),
-            ("i3", "b", 0), ("i3", "c", 0),
-            ("i4", "a", 1), ("i4", "b", 0), ("i4", "c", 1),
-        ]
-        table = RatingTable.from_records(records)
-        units = [[0, 0, 1], [1, 1], [0, 0], [1, 0, 1]]
-        assert krippendorff_alpha_nominal(table) == pytest.approx(alpha_brute(units), abs=1e-12)
+    @given(multi_rater_units)
+    # three raters, two items rated by only two of them
+    @example([{"a": 0, "b": 0, "c": 1}, {"a": 1, "b": 1}, {"b": 0, "c": 0}, {"a": 1, "b": 0, "c": 1}])
+    def test_missing_cells_against_oracle(self, units):
+        table, values = multi_rater_table(units)
+        try:
+            expected = alpha_brute(values)
+        except ValueError:
+            with pytest.raises(ValueError):
+                krippendorff_alpha_nominal(table)
+            return
+        if expected is None:
+            with pytest.raises(UndefinedMetric):
+                krippendorff_alpha_nominal(table)
+        else:
+            assert krippendorff_alpha_nominal(table) == pytest.approx(expected, abs=1e-12)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=2, max_size=12))
     def test_rater_and_item_symmetry(self, pairs):
@@ -164,15 +184,16 @@ class TestBrennanPrediger:
         p_o = pairwise_percent_agreement(table)
         assert brennan_prediger(table, q=2) == pytest.approx(2 * p_o - 1, abs=1e-15)
 
-    def test_multirater_against_oracle(self):
-        records = [
-            ("i1", "a", 0), ("i1", "b", 0), ("i1", "c", 1),
-            ("i2", "a", 1), ("i2", "b", 1), ("i2", "c", 1),
-            ("i3", "a", 0), ("i3", "b", 1),
-        ]
-        table = RatingTable.from_records(records)
-        units = [[0, 0, 1], [1, 1, 1], [0, 1]]
-        assert brennan_prediger(table) == pytest.approx(kappa_bp_brute(units), abs=1e-12)
+    @given(multi_rater_units)
+    @example([{"a": 0, "b": 0, "c": 1}, {"a": 1, "b": 1, "c": 1}, {"a": 0, "b": 1}])
+    def test_multirater_against_oracle(self, units):
+        table, values = multi_rater_table(units)
+        expected = kappa_bp_brute(values)
+        if expected is None:
+            with pytest.raises(ValueError):
+                brennan_prediger(table)
+        else:
+            assert brennan_prediger(table) == pytest.approx(expected, abs=1e-12)
 
     def test_invalid_q(self):
         with pytest.raises(ValueError):
@@ -264,3 +285,25 @@ class TestGroupedReport:
         assert report.supp_1 == 2
         assert 0.99 < report.acc < 1.0
         assert report.kappa_bp == pytest.approx(2 * report.acc - 1, abs=1e-12)
+
+    @given(
+        st.dictionaries(doc_ids, st.integers(0, 1), min_size=1),
+        st.dictionaries(doc_ids, st.integers(0, 1), min_size=1),
+        st.dictionaries(doc_ids, st.sampled_from(["g1", "g2", "g3"])),
+    )
+    # d1 is shared but has no group, d2 is gold-only, d3 is predicted-only with a group
+    @example({"d0": 1, "d1": 0, "d2": 1}, {"d0": 1, "d1": 1, "d3": 0}, {"d0": "g1", "d3": "g2"})
+    def test_rows_equal_compare_on_group_subsets(self, gold, pred, groups):
+        shared = gold.keys() & pred.keys()
+        if not shared:
+            with pytest.raises(EvaluationJoinError):
+                grouped_report(gold, pred, groups)
+            return
+        report = grouped_report(gold, pred, groups)
+        assert report.pooled == compare(gold, pred)
+        assert list(report.groups) == sorted({groups[d] for d in shared if d in groups})
+        for key, row in report.groups.items():
+            ids = [d for d in shared if groups.get(d) == key]
+            assert row == compare({d: gold[d] for d in ids}, {d: pred[d] for d in ids})
+        assert report.n_gold_only == len(gold.keys() - shared)
+        assert report.n_predicted_only == len(pred.keys() - shared)
