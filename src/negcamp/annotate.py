@@ -17,13 +17,14 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
-
-import requests
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render
 from .errors import ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
 from .ingest import Corpus, Document
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -89,9 +90,12 @@ class Transport(Protocol):
 
 class HttpTransport:
     """HTTPS chat-completion client. The API key is read from the
-    environment and never logged or echoed in error messages."""
+    environment and never logged or echoed in error messages. ``requests``
+    is imported here, not at module level, so offline runs never load it."""
 
     def __init__(self, api_key: str | None = None, timeout: float = 60.0, session: requests.Session | None = None):
+        import requests
+
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ConfigError(f"no API key; set {API_KEY_ENV} or configure a mock transport")
@@ -102,6 +106,8 @@ class HttpTransport:
     def complete(
         self, system_text: str, user_text: str, config: ModelConfig, doc_id: str = ""
     ) -> TransportReply:
+        import requests
+
         payload = {
             "model": config.model_id,
             "temperature": config.temperature,
@@ -159,7 +165,6 @@ class MockTransport:
             self._responses[doc_id] = [value] if isinstance(value, str) else list(value)
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
-        self.requests: list[tuple[str, str, str]] = []
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockTransport":
@@ -183,7 +188,6 @@ class MockTransport:
         with self._lock:
             attempt = self._calls.get(doc_id, 0)
             self._calls[doc_id] = attempt + 1
-            self.requests.append((doc_id, system_text, user_text))
         sequence = self._responses.get(doc_id)
         if sequence is None:
             raise TransportError(f"no canned response for doc {doc_id!r}")
@@ -261,13 +265,15 @@ class AnnotationCache:
     Each entry is one line. Loading cuts off a torn final line left by a
     crash, so the next append starts a fresh line and a crash never corrupts
     stored entries or ones written after it. Reads are lock-free after load;
-    writes are serialized.
+    writes are serialized through one append handle, opened on the first
+    ``put`` and flushed after every line. ``close`` releases it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._entries: dict[tuple[str, str], AnnotationResult] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
+        self._fh: IO[str] | None = None
         self._load()
 
     def _load(self) -> None:
@@ -302,16 +308,27 @@ class AnnotationCache:
     def put(self, result: AnnotationResult) -> None:
         record = result.to_record()
         line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+        if result.from_cache:
+            result = replace(result, from_cache=False)
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
-                fh.flush()
-            self._entries[(result.prompt_hash, result.doc_id)] = replace(result, from_cache=False)
+            if self._fh is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self.path.open("a", encoding="utf-8")
+            self._fh.write(line)
+            self._fh.flush()
+            self._entries[(result.prompt_hash, result.doc_id)] = result
+
+    def close(self) -> None:
+        """Close the append handle; a later ``put`` reopens the file."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def compact(self) -> None:
         """Rewrite the log with one line per live entry, atomically."""
         with self._lock:
+            self.close()  # a later put must append to the new file
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with tmp.open("w", encoding="utf-8") as fh:
                 for key in sorted(self._entries):

@@ -187,16 +187,19 @@ def cmd_annotate(config: RunConfig) -> int:
 
     cache_path = config.cache if config.cache is not None else config.out / "cache.jsonl"
     cache = AnnotationCache(cache_path)
-    batch = annotate_batch(
-        corpus,
-        codebook,
-        variant,
-        model_config,
-        transport,
-        cache=cache,
-        concurrency_limit=config.concurrency,
-        retry=retry,
-    )
+    try:
+        batch = annotate_batch(
+            corpus,
+            codebook,
+            variant,
+            model_config,
+            transport,
+            cache=cache,
+            concurrency_limit=config.concurrency,
+            retry=retry,
+        )
+    finally:
+        cache.close()
 
     write_annotations(config.out / "annotations.jsonl", batch.results)
     if batch.failures:

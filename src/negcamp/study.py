@@ -6,20 +6,24 @@ The regression is OLS on percentage outcomes (0-100) with country dummies.
 Clustered covariances use the CR1 small-sample factor (G/(G-1))*((N-1)/(N-k))
 and confidence intervals use a t distribution with G-1 degrees of freedom;
 both choices are configurable at the call sites that need them tested.
+
+numpy and scipy are imported inside the functions that compute with them, so
+importing this module (and so the package and its CLI) stays cheap for
+``annotate`` and ``evaluate``, which never fit a model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-from scipy import linalg, stats
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DesignError, RankDeficient
 from .ingest import Corpus, Document, PartyMeta, detect_retweet
 from .runio import canonical_float
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GOVT_NAME = "Government experience"
 ANTIELITE_NAME = "Anti-elite salience"
@@ -160,6 +164,9 @@ class DesignMatrix:
 def _check_rank(X: np.ndarray, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivoted QR of X (X[:, pivots] = q @ r), raising with the dependent
     columns by name when X lacks full column rank."""
+    import numpy as np
+    from scipy import linalg
+
     q, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
@@ -183,6 +190,8 @@ def build_design(
     (alphabetically first unless overridden). The family model adds family
     dummies against the alphabetically first family present.
     """
+    import numpy as np
+
     rows = [a for a in aggregates if a.party_id in party_meta and "missing_meta" not in a.flags]
     if not rows:
         raise DesignError("no aggregates with party metadata")
@@ -270,6 +279,9 @@ class OlsFit:
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
     """Least squares via the pivoted QR decomposition of the rank check."""
+    import numpy as np
+    from scipy import linalg
+
     X, y = design.X, design.y
     n, k = X.shape
     if n <= k:
@@ -313,6 +325,8 @@ def cluster_robust_se(fit: OlsFit, design: DesignMatrix) -> ClusterCovariance:
     meat = sum_g (X_g' u_g)(X_g' u_g)', scaled by (G/(G-1)) * ((N-1)/(N-k)).
     Requires at least two clusters.
     """
+    import numpy as np
+
     groups = sorted(set(design.clusters))
     G = len(groups)
     if G < 2:
@@ -375,11 +389,20 @@ class RegressionFit:
         }
 
 
+def t_critical(df: int) -> float:
+    """Two-sided 95% critical value of Student's t with ``df`` degrees of
+    freedom; ``stdtrit`` is what ``scipy.stats.t.ppf`` evaluates, without
+    the cost of importing ``scipy.stats``."""
+    from scipy.special import stdtrit
+
+    return float(stdtrit(df, 0.975))
+
+
 def fit_model(design: DesignMatrix) -> RegressionFit:
     """OLS point estimates with country-clustered SEs and 95% t intervals."""
     fit = fit_ols(design)
     clustered = cluster_robust_se(fit, design)
-    t_crit = float(stats.t.ppf(0.975, clustered.df))
+    t_crit = t_critical(clustered.df)
     return RegressionFit(
         columns=design.columns,
         beta=fit.beta,
@@ -416,9 +439,11 @@ def marginal_means_family(fit: RegressionFit, design: DesignMatrix) -> list[Marg
     or more of their members in a single country are flagged for geographic
     concentration, which can make their standard errors unreliable.
     """
+    import numpy as np
+
     if design.family_by_row is None or design.family_columns is None:
         raise ValueError("marginal means require a family-model design")
-    t_crit = float(stats.t.ppf(0.975, fit.df))
+    t_crit = t_critical(fit.df)
     families = sorted(set(design.family_by_row))
     family_cols = sorted(design.family_columns.values())
     rows = []

@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,26 +166,28 @@ def test_criterion_3_golden_end_to_end(data_dir, golden_dir, tmp_path):
     criterion(3, f"pipeline byte-identical across runs and concurrency {{1,8,16}}, equal to frozen goldens, {elapsed:.2f}s", ok)
 
 
-def shifted_t_ppf(ulps):
-    """A stand-in for ``stats.t.ppf`` returning the exact two-sided 95% t
-    quantile for df = 2, (2p-1)/sqrt(2p(1-p)), moved by ``ulps`` ulps."""
+def shifted_t_critical(ulps):
+    """A stand-in for ``negcamp.study.t_critical`` returning the exact
+    two-sided 95% t quantile for df = 2, (2p-1)/sqrt(2p(1-p)) at p = 0.975,
+    moved by ``ulps`` ulps."""
 
-    def ppf(p, df):
+    def t_critical(df):
         assert df == 2, "the fixture has three clusters"
+        p = 0.975
         value = (2 * p - 1) / math.sqrt(2 * p * (1 - p))
         toward = math.copysign(math.inf, ulps)
         for _ in range(abs(ulps)):
             value = np.nextafter(value, toward)
         return value
 
-    return ppf
+    return t_critical
 
 
 @pytest.mark.parametrize("ulps", (-8, -1, 1, 8))
 def test_golden_study_survives_t_quantile_drift(data_dir, golden_dir, tmp_path, monkeypatch, ulps):
     """Last-bit drift in the t quantile, as between scipy builds, leaves the
     study outputs byte-identical to the frozen goldens."""
-    monkeypatch.setattr("negcamp.study.stats", SimpleNamespace(t=SimpleNamespace(ppf=shifted_t_ppf(ulps))))
+    monkeypatch.setattr("negcamp.study.t_critical", shifted_t_critical(ulps))
     for variant in ("m1", "family"):
         out = tmp_path / f"study_{variant}"
         assert main([

@@ -1,4 +1,6 @@
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,18 @@ class FlakyTransport:
             if self.remaining.get(doc_id, 0) > 0:
                 self.remaining[doc_id] -= 1
                 raise TransportError("injected transient failure")
+        return self.inner.complete(system_text, user_text, config, doc_id=doc_id)
+
+
+class RecordingTransport:
+    """Wraps a transport, keeping the user text of every call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.user_texts = []
+
+    def complete(self, system_text, user_text, config, doc_id=""):
+        self.user_texts.append(user_text)
         return self.inner.complete(system_text, user_text, config, doc_id=doc_id)
 
 
@@ -107,12 +121,13 @@ class TestClassifyOne:
         assert second.to_record() == first.to_record()
 
     def test_reinforced_retry_recovers(self):
-        transport = MockTransport({"d1": ["maybe", "1"]})
+        mock = MockTransport({"d1": ["maybe", "1"]})
+        transport = RecordingTransport(mock)
         result = classify_one(transport, CONFIG, prompt_for("d1"), "d1", retry=MOCK_RETRY)
         assert result.label == 1
-        assert transport.total_calls == 2
+        assert mock.total_calls == 2
         # second call carries the reinforced output instruction
-        assert transport.requests[-1][2].endswith("Respond with only 0 or 1.")
+        assert transport.user_texts[-1].endswith("Respond with only 0 or 1.")
 
     def test_twice_malformed_is_label_failure(self):
         transport = MockTransport({"d1": ["maybe", "still maybe"]})
@@ -195,6 +210,37 @@ class TestAnnotationCache:
         reloaded = AnnotationCache(path)
         assert len(reloaded) == 1
         assert reloaded.get(prompt.prompt_hash, "d1").label == 1
+
+    def test_concurrent_puts_survive_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        prompt = prompt_for("d0")
+        results = [
+            classify_one(MockTransport({f"d{i}": "1"}), CONFIG, prompt, f"d{i}", retry=MOCK_RETRY) for i in range(800)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                list(pool.map(cache.put, results, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        cache.close()
+        assert len(AnnotationCache(path)) == 800
+        assert path.read_text(encoding="utf-8").count("\n") == 800
+
+    def test_put_after_compaction_survives_reload(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = AnnotationCache(path)
+        r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+        cache.compact()
+        r2 = classify_one(MockTransport({"d2": "0"}), CONFIG, prompt_for("d2"), "d2", cache=cache, retry=MOCK_RETRY)
+        cache.close()
+        reloaded = AnnotationCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get(r1.prompt_hash, "d1").label == 1
+        assert reloaded.get(r2.prompt_hash, "d2").label == 0
+        assert path.read_text(encoding="utf-8").count("\n") == 2
 
 
 class TestAnnotateBatch:

@@ -24,6 +24,7 @@ from negcamp.study import (
     fit_model,
     fit_ols,
     marginal_means_family,
+    t_critical,
 )
 
 
@@ -311,6 +312,13 @@ class TestClusterRobustSe:
         fit = fit_ols(design)
         with pytest.raises(ValueError, match="cluster"):
             cluster_robust_se(fit, design)
+
+
+def test_t_critical_equals_scipy_t_ppf():
+    from scipy import stats
+
+    for df in range(1, 400):
+        assert t_critical(df) == float(stats.t.ppf(0.975, df)), df
 
 
 class TestFixedEffectsEquivalence:
