@@ -19,6 +19,7 @@ from .annotate import (
 )
 from .codebook import Codebook, CodebookVariant, ContextLevel, PromptVariant, RenderedPrompt, builtin_codebooks, render
 from .errors import (
+    AuthenticationError,
     ConfigError,
     DesignError,
     EvaluationJoinError,

@@ -14,13 +14,12 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render
-from .errors import ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
+from .errors import AuthenticationError, ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
 from .ingest import Corpus, Document
 
 if TYPE_CHECKING:
@@ -41,6 +40,9 @@ MODEL_PRICES: Mapping[str, tuple[float, float]] = {
 REINFORCEMENT = "Respond with only 0 or 1."
 
 _TRAILING_PUNCTUATION = ".,;:!?)\"'`…。"
+
+# Request timeout, conflict, rate limit and server errors: another attempt may succeed.
+_RETRYABLE_STATUSES = frozenset({408, 409, 429, *range(500, 600)})
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,12 @@ class Transport(Protocol):
 class HttpTransport:
     """HTTPS chat-completion client. The API key is read from the
     environment and never logged or echoed in error messages. ``requests``
-    is imported here, not at module level, so offline runs never load it."""
+    is imported here, not at module level, so offline runs never load it.
+
+    Connection errors, timeouts and the statuses in ``_RETRYABLE_STATUSES``
+    raise a retryable ``TransportError``; any other failure raises one that
+    is not retried, except 401 and 403, which raise ``AuthenticationError``
+    and so stop the whole batch."""
 
     def __init__(self, api_key: str | None = None, timeout: float = 60.0, session: requests.Session | None = None):
         import requests
@@ -124,19 +131,27 @@ class HttpTransport:
                 headers={"Authorization": f"Bearer {self._key}"},
                 timeout=self._timeout,
             )
-        except requests.RequestException as exc:
+        # a body cut off mid-read is a dropped connection too
+        except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError) as exc:
             raise TransportError(f"request failed: {exc.__class__.__name__}") from None
-        if response.status_code != 200:
+        except requests.RequestException as exc:
+            raise TransportError(f"request failed: {exc.__class__.__name__}", retryable=False) from None
+        status = response.status_code
+        if status in (401, 403):
+            raise AuthenticationError(f"HTTP {status}: the endpoint refused the API key")
+        if status != 200:
             retry_after = None
-            if response.status_code in (429, 503):
+            if status in (429, 503):
                 header = response.headers.get("Retry-After", "")
                 retry_after = float(header) if header.replace(".", "", 1).isdigit() else None
-            raise TransportError(f"HTTP {response.status_code}", retry_after=retry_after)
+            raise TransportError(f"HTTP {status}", retry_after=retry_after, retryable=status in _RETRYABLE_STATUSES)
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise TransportError("unparseable completion payload") from None
+            text = None
+        if not isinstance(text, str):  # a refusal or content filter may answer null
+            raise TransportError("unparseable completion payload", retryable=False)
         usage = data.get("usage") or {}
         return TransportReply(
             text=text,
@@ -209,7 +224,7 @@ class RetryPolicy:
     jitter: float = 0.25
     sleep: Callable[[float], None] = time.sleep
 
-    def delay(self, attempt: int, rng: random.Random, retry_after: float | None = None) -> float:
+    def delay(self, attempt: int, rng: random.Random | _LazyRandom, retry_after: float | None = None) -> float:
         backoff = min(self.max_delay, self.base_delay * (2**attempt))
         backoff *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
         if retry_after is not None:
@@ -351,6 +366,20 @@ def parse_label(raw_response: str) -> int:
     raise MalformedResponse(f"expected a bare 0 or 1, got {raw_response!r}")
 
 
+class _LazyRandom:
+    """``random.Random(seed)``, seeded on the first draw: seeding costs
+    microseconds per document, and most documents never wait to retry."""
+
+    def __init__(self, seed: str):
+        self._seed = seed
+        self._rng: random.Random | None = None
+
+    def uniform(self, a: float, b: float) -> float:
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return self._rng.uniform(a, b)
+
+
 def _call_with_retry(
     transport: Transport,
     system_text: str,
@@ -358,13 +387,15 @@ def _call_with_retry(
     config: ModelConfig,
     doc_id: str,
     retry: RetryPolicy,
-    rng: random.Random,
+    rng: random.Random | _LazyRandom,
 ) -> TransportReply:
     last_error = "no attempt made"
     for attempt in range(retry.attempts):
         try:
             return transport.complete(system_text, user_text, config, doc_id=doc_id)
         except TransportError as exc:
+            if not exc.retryable:
+                raise TransportFailure(doc_id, attempt + 1, str(exc)) from None
             last_error = str(exc)
             if attempt + 1 < retry.attempts:
                 delay = retry.delay(attempt, rng, exc.retry_after)
@@ -386,14 +417,16 @@ def classify_one(
 
     A malformed response earns one reinforced retry (the output contract
     appended to the user message); a second malformed answer raises
-    ``LabelFailure``. Transport errors are retried per ``retry`` and then
-    raise ``TransportFailure``.
+    ``LabelFailure``. Retryable transport errors are retried per ``retry``
+    and then raise ``TransportFailure``; one that is not retryable raises it
+    at once. Backoff jitter is drawn from ``rng``, by default from
+    ``random.Random(doc_id)``, seeded only if a retry waits.
     """
     if cache is not None:
         hit = cache.get(prompt.prompt_hash, doc_id)
         if hit is not None:
             return hit
-    rng = rng or random.Random(0)
+    rng = rng or _LazyRandom(doc_id)
     reply = _call_with_retry(transport, prompt.system_text, prompt.user_text, config, doc_id, retry, rng)
     try:
         label = parse_label(reply.text)
@@ -464,45 +497,62 @@ def annotate_batch(
 ) -> BatchResult:
     """Label every document in the corpus.
 
-    Each document yields exactly one result or one recorded failure. Workers
-    render and classify independently; a single collector sorts by document
-    id, so output is identical for any concurrency limit.
+    Up to ``concurrency_limit`` worker threads each take the next document
+    in id order under one lock, then render and classify it; the calling
+    thread waits for them. Each document yields exactly one result or one
+    recorded failure; both are sorted by document id, so output is the same
+    for any limit. Any other exception in a worker, or an interrupt in the
+    calling thread, stops dispatch: no worker takes another document, and
+    the first such exception is re-raised once the in-flight calls return.
     """
     if concurrency_limit < 1:
         raise ConfigError("concurrency_limit must be at least 1")
     if variant.context_level is not ContextLevel.NO_CONTEXT and context_builder is None:
         context_builder = default_context_descriptor
 
-    def task(doc: Document) -> AnnotationResult:
-        context = context_builder(doc) if context_builder is not None else None
-        prompt = render(codebook, variant, doc, context=context, model_id=config.model_id)
-        return classify_one(
-            transport, config, prompt, doc.id, cache=cache, retry=retry, rng=random.Random(doc.id)
-        )
-
+    pending = iter(corpus)
+    take = threading.Lock()
     results: list[AnnotationResult] = []
     failures: list[AnnotationFailure] = []
-    with ThreadPoolExecutor(max_workers=concurrency_limit) as pool:
-        for doc, outcome in zip(corpus, pool.map(_guarded(task), corpus)):
-            if isinstance(outcome, AnnotationResult):
-                results.append(outcome)
-            else:
-                failures.append(AnnotationFailure(doc_id=doc.id, kind=outcome[0], detail=outcome[1]))
+    raised: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            while True:
+                with take:
+                    if raised:
+                        return
+                    doc = next(pending, None)
+                if doc is None:
+                    return
+                context = context_builder(doc) if context_builder is not None else None
+                prompt = render(codebook, variant, doc, context=context, model_id=config.model_id)
+                try:
+                    results.append(classify_one(transport, config, prompt, doc.id, cache=cache, retry=retry))
+                except TransportFailure as exc:
+                    failures.append(AnnotationFailure(doc_id=doc.id, kind="transport", detail=str(exc)))
+                except LabelFailure as exc:
+                    failures.append(AnnotationFailure(doc_id=doc.id, kind="label", detail=str(exc)))
+        except BaseException as exc:  # re-raised in the calling thread below
+            raised.append(exc)
+
+    n_threads = min(concurrency_limit, len(corpus))
+    threads = [threading.Thread(target=work, name=f"annotate-worker-{i}") for i in range(n_threads)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # Ctrl-C while waiting, or a thread that failed to start
+        raised.append(exc)
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if raised:
+        raise raised[0]
     results.sort(key=lambda r: r.doc_id)
     failures.sort(key=lambda f: f.doc_id)
     return BatchResult(results=tuple(results), failures=tuple(failures))
-
-
-def _guarded(task: Callable[[Document], AnnotationResult]):
-    def run(doc: Document) -> AnnotationResult | tuple[str, str]:
-        try:
-            return task(doc)
-        except TransportFailure as exc:
-            return ("transport", str(exc))
-        except LabelFailure as exc:
-            return ("label", str(exc))
-
-    return run
 
 
 def estimate_cost(

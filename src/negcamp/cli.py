@@ -275,7 +275,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     predicted = label_map(read_annotations(annotations_path))
 
     by_country = grouped_report(gold, predicted, {d.id: d.country for d in corpus})
-    by_language = grouped_report(gold, predicted, {d.id: d.language for d in corpus})
+    by_language = grouped_report(gold, predicted, {d.id: d.language for d in corpus}, pooled=by_country.pooled)
     if by_country.n_gold_only:
         logger.warning("%d gold labels reference documents outside the predictions; kept, join is on the intersection", by_country.n_gold_only)
 

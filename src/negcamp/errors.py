@@ -19,15 +19,21 @@ class MalformedResponse(NegcampError):
     """A model response that is not a bare 0/1 after trimming."""
 
 
+class AuthenticationError(ConfigError):
+    """The endpoint refused the API key (HTTP 401 or 403); the run stops."""
+
+
 class TransportError(NegcampError):
-    """A single failed transport attempt (retryable).
+    """A single failed transport attempt.
 
     ``retry_after`` carries a server-provided wait hint in seconds, if any.
+    ``retryable`` is false when another attempt would get the same answer.
     """
 
-    def __init__(self, message: str, retry_after: float | None = None):
+    def __init__(self, message: str, retry_after: float | None = None, retryable: bool = True):
         super().__init__(message)
         self.retry_after = retry_after
+        self.retryable = retryable
 
 
 class TransportFailure(NegcampError):

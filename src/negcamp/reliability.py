@@ -290,16 +290,20 @@ def grouped_report(
     gold: Mapping[str, int],
     predicted: Mapping[str, int],
     groups: Mapping[str, str],
+    pooled: ReliabilityReport | None = None,
 ) -> GroupedReport:
     """Per-group reliability rows plus the pooled row.
 
     ``groups`` maps document ids to a group key (country or language).
     Groups whose id-intersection with the labels is empty are omitted.
+    ``pooled``, if given, is ``compare(gold, predicted)`` from an earlier
+    grouping of the same labels and is reused instead of recomputed.
     """
     shared = set(gold) & set(predicted)
     if not shared:
         raise EvaluationJoinError("gold and predicted labels share no document ids")
-    pooled = compare(gold, predicted)
+    if pooled is None:
+        pooled = compare(gold, predicted)
     members: dict[str, list[str]] = {}
     for doc_id in shared:
         if doc_id in groups:

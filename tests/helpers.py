@@ -1,6 +1,9 @@
-"""Builders for inline documents and the synthetic study fixtures."""
+"""Builders for inline documents, the synthetic study fixtures and a stub
+HTTP session."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -155,3 +158,47 @@ def synthetic_study_files(tmp_path, seed: int = 7, docs_per_party: int = 20):
         )
     meta_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return corpus_path, annotations_path, meta_path
+
+
+class StubResponse:
+    """The parts of ``requests.Response`` that ``HttpTransport`` reads."""
+
+    def __init__(self, status_code: int, payload: object = None, headers: dict[str, str] | None = None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self._payload = payload
+
+    def json(self) -> object:
+        if self._payload is None:
+            raise ValueError("no JSON body")
+        return self._payload
+
+
+def completion(text: str | None, prompt_tokens: int = 12) -> StubResponse:
+    """A 200 chat-completion response answering ``text``."""
+    payload = {
+        "choices": [{"message": {"content": text}}],
+        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": 1},
+    }
+    return StubResponse(200, payload)
+
+
+class StubSession:
+    """Stands in for ``requests.Session`` so ``HttpTransport`` runs offline.
+
+    Each ``post`` plays the next reply of the script (an exception instance
+    is raised); the last reply repeats. Thread-safe.
+    """
+
+    def __init__(self, *replies: object):
+        self.replies = replies
+        self.posts = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json, headers, timeout):
+        with self._lock:
+            reply = self.replies[min(self.posts, len(self.replies) - 1)]
+            self.posts += 1
+        if isinstance(reply, Exception):
+            raise reply
+        return reply

@@ -1,17 +1,24 @@
+import random
+import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
+import requests
 from hypothesis import given, strategies as st
 
-from helpers import make_doc
+from helpers import StubResponse, StubSession, completion, make_corpus, make_doc
 from negcamp.annotate import (
     AnnotationCache,
+    HttpTransport,
     MOCK_RETRY,
     MockTransport,
     ModelConfig,
     RetryPolicy,
+    TransportReply,
     annotate_batch,
     classify_one,
     estimate_cost,
@@ -21,6 +28,7 @@ from negcamp.annotate import (
 )
 from negcamp.codebook import PromptVariant, builtin_codebooks, render
 from negcamp.errors import (
+    AuthenticationError,
     ConfigError,
     LabelFailure,
     MalformedResponse,
@@ -63,6 +71,36 @@ class RecordingTransport:
     def complete(self, system_text, user_text, config, doc_id=""):
         self.user_texts.append(user_text)
         return self.inner.complete(system_text, user_text, config, doc_id=doc_id)
+
+
+class FailingTransport:
+    """Answers 0 after ``delay_s`` for every document except ``doc_id``, on
+    which it raises ``error`` or, when that is None, sends SIGINT to the main
+    thread as Ctrl-C does and then answers. Counts every call."""
+
+    def __init__(self, doc_id, error, delay_s=0.0):
+        self.doc_id = doc_id
+        self.error = error
+        self.delay_s = delay_s
+        self.calls = 0
+        self.calls_at_failure = None
+        self._lock = threading.Lock()
+
+    def complete(self, system_text, user_text, config, doc_id=""):
+        with self._lock:
+            self.calls += 1
+            if doc_id == self.doc_id:
+                self.calls_at_failure = self.calls
+                if self.error is None:
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                else:
+                    raise self.error
+        time.sleep(self.delay_s)
+        return TransportReply(text="0")
+
+
+def numbered_corpus(n):
+    return make_corpus(make_doc(doc_id=f"d{i:04d}") for i in range(n))
 
 
 class TestParseLabel:
@@ -112,10 +150,10 @@ class TestClassifyOne:
 
     def test_cache_short_circuits_transport(self, tmp_path):
         transport = MockTransport({"d1": "1"})
-        cache = AnnotationCache(tmp_path / "cache.jsonl")
         prompt = prompt_for("d1")
-        first = classify_one(transport, CONFIG, prompt, "d1", cache=cache, retry=MOCK_RETRY)
-        second = classify_one(transport, CONFIG, prompt, "d1", cache=cache, retry=MOCK_RETRY)
+        with closing(AnnotationCache(tmp_path / "cache.jsonl")) as cache:
+            first = classify_one(transport, CONFIG, prompt, "d1", cache=cache, retry=MOCK_RETRY)
+            second = classify_one(transport, CONFIG, prompt, "d1", cache=cache, retry=MOCK_RETRY)
         assert transport.total_calls == 1
         assert second.from_cache is True
         assert second.to_record() == first.to_record()
@@ -162,13 +200,33 @@ class TestClassifyOne:
         assert result.label == 1
         assert sleeps and sleeps[0] >= 4.0
 
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_retry_jitter_continues_across_reinforced_call(self, seed):
+        sleeps = []
+        policy = RetryPolicy(sleep=sleeps.append)
+        # a transient error, a malformed answer, a transient error on the reinforced call, a label
+        script = iter([TransportError("transient"), "maybe", TransportError("transient"), "1"])
+
+        class Scripted:
+            def complete(self, system_text, user_text, config, doc_id=""):
+                step = next(script)
+                if isinstance(step, Exception):
+                    raise step
+                return TransportReply(text=step)
+
+        rng = None if seed is None else random.Random(seed)
+        result = classify_one(Scripted(), CONFIG, prompt_for("d1"), "d1", retry=policy, rng=rng)
+        assert result.label == 1
+        expected = random.Random("d1" if seed is None else seed)
+        assert sleeps == [policy.delay(0, expected), policy.delay(0, expected)]
+
 
 class TestAnnotationCache:
     def test_roundtrip_field_for_field(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = AnnotationCache(path)
         transport = MockTransport({"d1": "1"})
-        result = classify_one(transport, CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+        with closing(AnnotationCache(path)) as cache:
+            result = classify_one(transport, CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
         reloaded = AnnotationCache(path)
         hit = reloaded.get(result.prompt_hash, "d1")
         assert hit is not None
@@ -177,8 +235,8 @@ class TestAnnotationCache:
 
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = AnnotationCache(path)
-        r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+        with closing(AnnotationCache(path)) as cache:
+            r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"doc_id": "d2", "label":')  # simulated crash mid-write
         reloaded = AnnotationCache(path)
@@ -187,12 +245,12 @@ class TestAnnotationCache:
 
     def test_put_after_torn_line_survives_reload(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        cache = AnnotationCache(path)
-        r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+        with closing(AnnotationCache(path)) as cache:
+            r1 = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"doc_id": "d2", "label":')  # simulated crash mid-write
-        resumed = AnnotationCache(path)
-        r3 = classify_one(MockTransport({"d3": "0"}), CONFIG, prompt_for("d3"), "d3", cache=resumed, retry=MOCK_RETRY)
+        with closing(AnnotationCache(path)) as resumed:
+            r3 = classify_one(MockTransport({"d3": "0"}), CONFIG, prompt_for("d3"), "d3", cache=resumed, retry=MOCK_RETRY)
         reloaded = AnnotationCache(path)
         assert len(reloaded) == 2
         assert reloaded.get(r1.prompt_hash, "d1").label == 1
@@ -252,20 +310,22 @@ class TestAnnotateBatch:
 
     def test_output_independent_of_concurrency(self, corpus, mock_map):
         outputs = []
-        for limit in (1, 16):
+        before = set(threading.enumerate())
+        for limit in (1, 16, len(corpus) + 5):
             batch = annotate_batch(
                 corpus, BOOK, VARIANT, CONFIG, MockTransport(mock_map), concurrency_limit=limit, retry=MOCK_RETRY
             )
             outputs.append([r.to_record() for r in batch.results])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert set(threading.enumerate()) <= before  # no worker outlives the call
 
     def test_idempotent_with_cache(self, corpus, mock_map, tmp_path):
         transport = MockTransport(mock_map)
-        cache = AnnotationCache(tmp_path / "cache.jsonl")
-        runs = [
-            annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, cache=cache, concurrency_limit=8, retry=MOCK_RETRY)
-            for _ in range(3)
-        ]
+        with closing(AnnotationCache(tmp_path / "cache.jsonl")) as cache:
+            runs = [
+                annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, cache=cache, concurrency_limit=8, retry=MOCK_RETRY)
+                for _ in range(3)
+            ]
         assert transport.total_calls == 60  # one set of transport calls
         assert runs[1].cache_hits == runs[2].cache_hits == 60
         records = [[r.to_record() for r in run.results] for run in runs]
@@ -290,9 +350,105 @@ class TestAnnotateBatch:
         assert len(batch.results) == 60
         assert batch.failures == ()
 
+    def test_each_document_taken_once_under_thread_switching(self):
+        corpus = numbered_corpus(2000)
+        transport = MockTransport({d.id: "1" for d in corpus if d.id != "d0777"})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=16, retry=MOCK_RETRY)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.doc_id for r in batch.results] == [d.id for d in corpus if d.id != "d0777"]
+        assert [f.doc_id for f in batch.failures] == ["d0777"]
+        assert transport.total_calls == 1999 + MOCK_RETRY.attempts
+
+    def test_retry_jitter_seeded_by_doc_id(self, corpus, mock_map):
+        sleeps = []
+        policy = RetryPolicy(sleep=sleeps.append)
+        transport = FlakyTransport(MockTransport(mock_map), {"d010": 3})
+        batch = annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=policy)
+        assert batch.failures == ()
+        rng = random.Random("d010")
+        assert sleeps == [policy.delay(attempt, rng) for attempt in range(3)]
+
+    def test_unexpected_error_stops_dispatch(self):
+        transport = FailingTransport("d0003", RuntimeError("unexpected worker error"))
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="unexpected worker error"):
+            annotate_batch(numbered_corpus(2000), BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+        # only the calls already in flight on the other workers may follow
+        assert transport.calls - transport.calls_at_failure <= 4
+        assert set(threading.enumerate()) <= before
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_interrupt_stops_dispatch(self):
+        if threading.current_thread() is not threading.main_thread():
+            pytest.skip("signals reach only the main thread")
+        if signal.getsignal(signal.SIGINT) is not signal.default_int_handler:
+            pytest.skip("SIGINT does not raise KeyboardInterrupt here")
+        transport = FailingTransport("d0003", None, delay_s=0.001)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyboardInterrupt):
+            annotate_batch(numbered_corpus(2000), BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+        assert transport.calls < 100
+        assert set(threading.enumerate()) <= before
+
     def test_invalid_concurrency(self, corpus, mock_transport):
         with pytest.raises(ConfigError):
             annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=0)
+
+
+class TestHttpTransport:
+    def classify(self, session, sleeps):
+        transport = HttpTransport(api_key="test-key", session=session)
+        policy = RetryPolicy(sleep=sleeps.append)
+        return classify_one(transport, CONFIG, prompt_for("d1"), "d1", retry=policy)
+
+    def test_completion_parsed(self):
+        result = self.classify(StubSession(completion("1", prompt_tokens=12)), [])
+        assert (result.label, result.input_tokens, result.output_tokens) == (1, 12, 1)
+
+    @pytest.mark.parametrize(
+        "first",
+        [StubResponse(408), StubResponse(409), StubResponse(429), StubResponse(500), StubResponse(503),
+         requests.ConnectionError("refused"), requests.Timeout("slow"), requests.exceptions.ChunkedEncodingError("cut")],
+        ids=["408", "409", "429", "500", "503", "connection", "timeout", "cut-body"],
+    )
+    def test_transient_failures_retried(self, first):
+        session, sleeps = StubSession(first, completion("1")), []
+        assert self.classify(session, sleeps).label == 1
+        assert session.posts == 2
+        assert len(sleeps) == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [StubResponse(400), StubResponse(404), StubResponse(422), StubResponse(200), completion(None),
+         requests.exceptions.InvalidURL("bad url")],
+        ids=["400", "404", "422", "no-json", "null-content", "invalid-url"],
+    )
+    def test_permanent_failures_fail_on_first_response(self, reply):
+        session, sleeps = StubSession(reply), []
+        with pytest.raises(TransportFailure) as err:
+            self.classify(session, sleeps)
+        assert err.value.attempts == 1
+        assert session.posts == 1
+        assert sleeps == []
+
+    def test_retry_after_hint_honoured(self):
+        session, sleeps = StubSession(StubResponse(429, headers={"Retry-After": "30"}), completion("0")), []
+        assert self.classify(session, sleeps).label == 0
+        assert sleeps[0] >= 30.0
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_rejected_key_stops_the_batch(self, corpus, status):
+        session = StubSession(StubResponse(status))
+        transport = HttpTransport(api_key="test-key", session=session)
+        with pytest.raises(AuthenticationError) as err:
+            annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+        assert str(status) in str(err.value)
+        assert "test-key" not in str(err.value)
+        assert session.posts <= 4
 
 
 class TestEstimateCost:

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+import requests
 
-from helpers import synthetic_study_files
+from helpers import StubResponse, StubSession, synthetic_study_files
 from negcamp.cli import main
 
 
@@ -80,6 +81,18 @@ class TestAnnotateCommand:
         code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--out", tmp_path)
         assert code == 2
         assert "NEGCAMP_API_KEY" in capsys.readouterr().err
+
+    def test_rejected_api_key_exits_2(self, data_dir, tmp_path, capsys, monkeypatch):
+        session = StubSession(StubResponse(401))
+        monkeypatch.setenv("NEGCAMP_API_KEY", "test-key")
+        monkeypatch.setenv("NEGCAMP_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--concurrency", 4, "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "401" in err and "test-key" not in err
+        assert session.posts <= 4
+        assert not (tmp_path / "annotations.jsonl").exists()
 
     def test_config_file(self, data_dir, tmp_path):
         config = {

@@ -249,6 +249,13 @@ class TestGroupedReport:
         report = grouped_report(gold, pred, {d: "only" for d in gold})
         assert report.groups["only"] == report.pooled
 
+    def test_given_pooled_row_reused(self):
+        gold, pred = maps([0, 1, 1, 0], [0, 1, 0, 0])
+        by_first = grouped_report(gold, pred, {"i0": "a", "i1": "a", "i2": "b", "i3": "b"})
+        by_parity = grouped_report(gold, pred, {"i0": "x", "i1": "y", "i2": "x", "i3": "y"}, pooled=by_first.pooled)
+        assert by_parity.pooled is by_first.pooled
+        assert by_parity == grouped_report(gold, pred, {"i0": "x", "i1": "y", "i2": "x", "i3": "y"})
+
     def test_degenerate_group_flagged_in_row(self):
         gold, pred = maps([1, 1, 0, 1], [1, 1, 0, 0])
         groups = {"i0": "g1", "i1": "g1", "i2": "g2", "i3": "g2"}
