@@ -32,7 +32,7 @@ from .errors import (
     TransportFailure,
     UndefinedMetric,
 )
-from .ingest import Corpus, Document, GoldLabel, PartyMeta, detect_retweet, ingest_documents, ingest_gold, ingest_party_meta
+from .ingest import Corpus, Document, DocumentIndex, GoldLabel, PartyMeta, detect_retweet, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
 from .reliability import (
     ConfusionMatrix,
     RatingTable,

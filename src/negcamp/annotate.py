@@ -15,6 +15,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from datetime import timezone
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -98,17 +99,31 @@ class HttpTransport:
     Connection errors, timeouts and the statuses in ``_RETRYABLE_STATUSES``
     raise a retryable ``TransportError``; any other failure raises one that
     is not retried, except 401 and 403, which raise ``AuthenticationError``
-    and so stop the whole batch."""
+    and so stop the whole batch. A session made here pools ``pool_maxsize``
+    connections per host, which should be the number of requests in flight;
+    a ``session`` passed in is used as it is."""
 
-    def __init__(self, api_key: str | None = None, timeout: float = 60.0, session: requests.Session | None = None):
+    def __init__(
+        self,
+        api_key: str | None = None,
+        timeout: float = 60.0,
+        session: requests.Session | None = None,
+        pool_maxsize: int = 10,
+    ):
         import requests
+        from requests.adapters import HTTPAdapter
 
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ConfigError(f"no API key; set {API_KEY_ENV} or configure a mock transport")
         self._key = key
         self._timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=pool_maxsize)
+            session.mount("https://", adapter)
+            session.mount("http://", adapter)
+        self._session = session
 
     def complete(
         self, system_text: str, user_text: str, config: ModelConfig, doc_id: str = ""
@@ -142,8 +157,7 @@ class HttpTransport:
         if status != 200:
             retry_after = None
             if status in (429, 503):
-                header = response.headers.get("Retry-After", "")
-                retry_after = float(header) if header.replace(".", "", 1).isdigit() else None
+                retry_after = _retry_after_s(response.headers.get("Retry-After", ""))
             raise TransportError(f"HTTP {status}", retry_after=retry_after, retryable=status in _RETRYABLE_STATUSES)
         try:
             data = response.json()
@@ -158,6 +172,23 @@ class HttpTransport:
             input_tokens=int(usage.get("prompt_tokens", 0)),
             output_tokens=int(usage.get("completion_tokens", 0)),
         )
+
+
+def _retry_after_s(header: str) -> float | None:
+    """Seconds to wait from a ``Retry-After`` header: delay seconds, or an
+    HTTP date (RFC 9110 section 10.2.3), 0 once past; None if unparseable."""
+    import email.utils  # its socket import costs milliseconds at start-up
+
+    header = header.strip()
+    if header.replace(".", "", 1).isdigit():
+        return float(header)
+    try:
+        when = email.utils.parsedate_to_datetime(header)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:  # "-0000": UTC, as HTTP dates always are
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def _approx_tokens(text: str) -> int:
@@ -584,5 +615,16 @@ def read_annotations(path: str | Path) -> list[AnnotationResult]:
     return results
 
 
-def label_map(results: Iterable[AnnotationResult]) -> dict[str, int]:
-    return {r.doc_id: r.label for r in results}
+def read_labels(path: str | Path) -> dict[str, int]:
+    """The ``doc_id -> label`` map of an annotations file, read without
+    building ``AnnotationResult`` objects. A record with a missing field or a
+    non-integer label or token count raises as ``from_record`` does."""
+    labels: dict[str, int] = {}
+    with Path(path).open(encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                record = json.loads(line)
+                record["raw_response"], record["model_id"], record["prompt_hash"]  # a missing field raises KeyError
+                int(record["input_tokens"]), int(record["output_tokens"])
+                labels[str(record["doc_id"])] = int(record["label"])
+    return labels

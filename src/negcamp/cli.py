@@ -34,13 +34,12 @@ from .annotate import (
     MockTransport,
     RetryPolicy,
     annotate_batch,
-    label_map,
-    read_annotations,
+    read_labels,
     write_annotations,
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Corpus, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta
+from .ingest import Corpus, DocumentIndex, gold_label_map, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import canonical_float, sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -156,17 +155,30 @@ def _input_entry(path: Path, **extra: object) -> dict[str, object]:
     return entry
 
 
-def _load_corpus(config: RunConfig) -> tuple[Corpus, int, Path]:
+def _load_corpus(config: RunConfig, slim: bool = False) -> tuple[Corpus | DocumentIndex, int, Path]:
+    """The corpus as a ``DocumentIndex`` if ``slim``, else in full with its
+    texts, which only ``annotate`` needs."""
     path = config.require("corpus")
-    ingest = ingest_documents(path, fmt=config.corpus_format)
-    if ingest.rejections:
+    if slim:
+        corpus, rejections = ingest_index(path, fmt=config.corpus_format)
+    else:
+        ingest = ingest_documents(path, fmt=config.corpus_format)
+        corpus, rejections = ingest.corpus, ingest.rejections
+    if rejections:
         lines = "".join(
             stable_json_dumps({"line": r.line, "reason": r.reason, "doc_id": r.doc_id}) + "\n"
-            for r in ingest.rejections
+            for r in rejections
         )
         write_text(config.out / "rejections.jsonl", lines)
-        logger.warning("%d corpus records rejected; see rejections.jsonl", len(ingest.rejections))
-    return ingest.corpus, len(ingest.rejections), path
+        logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
+    return corpus, len(rejections), path
+
+
+def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
+    path = config.annotations if config.annotations is not None else config.out / "annotations.jsonl"
+    if not path.is_file():
+        raise ConfigError(f"annotations path does not exist: {path}")
+    return read_labels(path), path
 
 
 def cmd_annotate(config: RunConfig) -> int:
@@ -182,7 +194,7 @@ def cmd_annotate(config: RunConfig) -> int:
         transport = MockTransport.from_jsonl(config.mock)
         retry = MOCK_RETRY
     else:
-        transport = HttpTransport()
+        transport = HttpTransport(pool_maxsize=config.concurrency)
         retry = RetryPolicy()
 
     cache_path = config.cache if config.cache is not None else config.out / "cache.jsonl"
@@ -265,17 +277,15 @@ def _human_irr(gold_labels) -> dict[str, object] | None:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    corpus, _, corpus_path = _load_corpus(config)
+    index, _, corpus_path = _load_corpus(config, slim=True)
     gold_path = config.require("gold")
     gold_labels = ingest_gold(gold_path)
     gold, n_conflicts = gold_label_map(gold_labels, coder=config.gold_coder)
-    annotations_path = config.annotations if config.annotations is not None else config.out / "annotations.jsonl"
-    if not annotations_path.is_file():
-        raise ConfigError(f"annotations path does not exist: {annotations_path}")
-    predicted = label_map(read_annotations(annotations_path))
+    predicted, annotations_path = _load_labels(config)
 
-    by_country = grouped_report(gold, predicted, {d.id: d.country for d in corpus})
-    by_language = grouped_report(gold, predicted, {d.id: d.language for d in corpus}, pooled=by_country.pooled)
+    gold_rows = [row for row in index if row[0] in gold]  # only gold documents can join
+    by_country = grouped_report(gold, predicted, {row[0]: row[2] for row in gold_rows})
+    by_language = grouped_report(gold, predicted, {row[0]: row[1] for row in gold_rows}, pooled=by_country.pooled)
     if by_country.n_gold_only:
         logger.warning("%d gold labels reference documents outside the predictions; kept, join is on the intersection", by_country.n_gold_only)
 
@@ -304,7 +314,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         "command": "evaluate",
         "config_digest": config.semantic_digest("evaluate"),
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=len(corpus)),
+            "corpus": _input_entry(corpus_path, n_documents=len(index)),
             "gold": _input_entry(gold_path, n_labels=len(gold_labels)),
             "annotations": _input_entry(annotations_path, n_labels=len(predicted)),
         },
@@ -327,11 +337,8 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def cmd_study(config: RunConfig) -> int:
-    corpus, _, corpus_path = _load_corpus(config)
-    annotations_path = config.annotations if config.annotations is not None else config.out / "annotations.jsonl"
-    if not annotations_path.is_file():
-        raise ConfigError(f"annotations path does not exist: {annotations_path}")
-    labels = label_map(read_annotations(annotations_path))
+    index, _, corpus_path = _load_corpus(config, slim=True)
+    labels, annotations_path = _load_labels(config)
     meta_path = config.require("party_meta")
     party_meta = ingest_party_meta(meta_path)
     try:
@@ -344,7 +351,7 @@ def cmd_study(config: RunConfig) -> int:
         min_tweets=config.min_tweets,
         exclude_independents=not config.include_independents,
     )
-    aggregates = aggregate_parties(corpus, labels, party_meta, filters)
+    aggregates = aggregate_parties(index, labels, party_meta, filters)
     write_text(
         config.out / "aggregates.csv",
         _csv_text(
@@ -353,7 +360,7 @@ def cmd_study(config: RunConfig) -> int:
         ),
     )
 
-    by_country = country_negativity(corpus, labels)
+    by_country = country_negativity(index, labels)
     write_text(
         config.out / "figure1_country.csv",
         _csv_text(
@@ -410,7 +417,7 @@ def cmd_study(config: RunConfig) -> int:
             "exclude_independents": filters.exclude_independents,
         },
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=len(corpus)),
+            "corpus": _input_entry(corpus_path, n_documents=len(index)),
             "annotations": _input_entry(annotations_path, n_labels=len(labels)),
             "party_meta": _input_entry(meta_path, n_parties=len(party_meta)),
         },
@@ -418,7 +425,7 @@ def cmd_study(config: RunConfig) -> int:
             "n_aggregates": len(aggregates),
             "n_missing_meta": len(flagged),
             "missing_meta_parties": flagged,
-            "n_unlabeled_documents": sum(1 for d in corpus if d.id not in labels),
+            "n_unlabeled_documents": sum(1 for row in index if row[0] not in labels),
             "n_obs": fit.n_obs,
             "n_clusters": fit.n_clusters,
         },

@@ -13,7 +13,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from datetime import datetime
+from itertools import pairwise
 from pathlib import Path
+from sys import intern
 from typing import Iterable, Iterator, Mapping
 
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
@@ -70,28 +72,18 @@ class Rejection:
 
 
 class Corpus:
-    """Immutable document collection, iterated in id order.
-
-    Indices map each document to exactly one key: ``by_id`` on the unique id,
-    ``by_party`` on ``party_id`` (independents under ``""``), ``by_country``
-    on the country code.
-    """
+    """Immutable document collection, iterated in id order, with ``by_id``
+    mapping each unique id to its document."""
 
     def __init__(self, documents: Iterable[Document]):
         docs = sorted(documents, key=lambda d: d.id)
         by_id: dict[str, Document] = {}
-        by_party: dict[str, list[Document]] = {}
-        by_country: dict[str, list[Document]] = {}
         for doc in docs:
             if doc.id in by_id:
                 raise IngestError(f"duplicate document id {doc.id!r} in corpus")
             by_id[doc.id] = doc
-            by_party.setdefault(doc.party_id, []).append(doc)
-            by_country.setdefault(doc.country, []).append(doc)
         self._documents: tuple[Document, ...] = tuple(docs)
         self.by_id: Mapping[str, Document] = by_id
-        self.by_party: Mapping[str, tuple[Document, ...]] = {k: tuple(v) for k, v in by_party.items()}
-        self.by_country: Mapping[str, tuple[Document, ...]] = {k: tuple(v) for k, v in by_country.items()}
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
@@ -103,7 +95,40 @@ class Corpus:
         return isinstance(other, Corpus) and self._documents == other._documents
 
     def __repr__(self) -> str:
-        return f"Corpus({len(self)} documents, {len(self.by_country)} countries)"
+        return f"Corpus({len(self)} documents)"
+
+
+#: One ``DocumentIndex`` row: (id, language, country, party_id, is_retweet).
+IndexRow = tuple[str, str, str, str, bool]
+
+
+class DocumentIndex:
+    """What ``evaluate`` and ``study`` read of a corpus: id-sorted rows of
+    (id, language, country, party_id, is_retweet), without the text.
+
+    Language, country and party strings are interned, so every row shares
+    one copy of each, and ``is_retweet`` is already resolved by
+    ``detect_retweet``'s rule.
+    """
+
+    def __init__(self, rows: Iterable[IndexRow]):
+        self._rows: tuple[IndexRow, ...] = tuple(sorted(rows))
+        for before, after in pairwise(self._rows):
+            if before[0] == after[0]:
+                raise IngestError(f"duplicate document id {after[0]!r} in corpus")
+
+    @classmethod
+    def from_documents(cls, documents: Iterable[Document]) -> "DocumentIndex":
+        return cls((d.id, intern(d.language), intern(d.country), intern(d.party_id), detect_retweet(d)) for d in documents)
+
+    def __iter__(self) -> Iterator[IndexRow]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DocumentIndex) and self._rows == other._rows
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,11 @@ def detect_retweet(doc: Document) -> bool:
     whose source database did not mark retweets. Pure function of
     ``(text, is_retweet)``.
     """
-    return doc.is_retweet or doc.text.lstrip().startswith("RT @")
+    return _is_retweet(doc.text, doc.is_retweet)
+
+
+def _is_retweet(text: str, flag: bool) -> bool:
+    return flag or text.lstrip().startswith("RT @")
 
 
 def _validate_timestamp(value: str) -> None:
@@ -130,7 +159,8 @@ def _validate_timestamp(value: str) -> None:
     datetime.fromisoformat(normalized)
 
 
-def _parse_record(record: Mapping[str, object]) -> Document:
+def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str, str, str, bool]:
+    """A valid record's fields in ``Document`` order; raises ValueError."""
     missing = [k for k in DOCUMENT_FIELDS if record.get(k) is None]
     if missing:
         raise ValueError("missing fields: " + ", ".join(missing))
@@ -155,16 +185,7 @@ def _parse_record(record: Mapping[str, object]) -> Document:
         retweet = retweet.lower() == "true"
     elif not isinstance(retweet, bool):
         raise ValueError(f"invalid retweet flag {retweet!r}")
-    return Document(
-        id=str(record["id"]),
-        text=text,
-        language=lang,
-        country=country,
-        author_id=str(record["author"]),
-        party_id=str(record["party"]),
-        created_at=created_at,
-        is_retweet=retweet,
-    )
+    return str(record["id"]), text, lang, country, str(record["author"]), str(record["party"]), created_at, retweet
 
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object] | None, str]]:
@@ -193,33 +214,50 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
         raise IngestError(f"unsupported corpus format {fmt!r} (expected jsonl or csv)")
 
 
+def _valid_records(path: str | Path, fmt: str, rejections: list[Rejection]) -> Iterator[tuple]:
+    """Yield the fields of each valid, unique corpus record in file order,
+    appending a ``Rejection`` for every skipped one."""
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"corpus file not found: {path}")
+    seen: set[str] = set()
+    for lineno, record, reason in _iter_records(path, fmt):
+        if record is None:
+            rejections.append(Rejection(line=lineno, reason=reason))
+            continue
+        try:
+            fields = _parse_record(record)
+        except ValueError as exc:
+            rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=str(record.get("id", ""))))
+            continue
+        doc_id = fields[0]
+        if doc_id in seen:
+            rejections.append(Rejection(line=lineno, reason=f"duplicate id {doc_id!r}", doc_id=doc_id))
+            continue
+        seen.add(doc_id)
+        yield fields
+
+
 def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
     """Load a corpus file, skipping invalid records.
 
     Duplicate ids keep the first occurrence and reject the later one. The
     rejection report cites source line numbers for every skipped record.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"corpus file not found: {path}")
-    documents: list[Document] = []
-    seen: set[str] = set()
     rejections: list[Rejection] = []
-    for lineno, record, reason in _iter_records(path, fmt):
-        if record is None:
-            rejections.append(Rejection(line=lineno, reason=reason))
-            continue
-        try:
-            doc = _parse_record(record)
-        except ValueError as exc:
-            rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=str(record.get("id", ""))))
-            continue
-        if doc.id in seen:
-            rejections.append(Rejection(line=lineno, reason=f"duplicate id {doc.id!r}", doc_id=doc.id))
-            continue
-        seen.add(doc.id)
-        documents.append(doc)
-    return DocumentIngest(corpus=Corpus(documents), rejections=tuple(rejections))
+    corpus = Corpus([Document(*fields) for fields in _valid_records(path, fmt, rejections)])
+    return DocumentIngest(corpus=corpus, rejections=tuple(rejections))
+
+
+def ingest_index(path: str | Path, fmt: str = "jsonl") -> tuple[DocumentIndex, tuple[Rejection, ...]]:
+    """Load a corpus file as a ``DocumentIndex``, validating and rejecting
+    records exactly as ``ingest_documents`` does."""
+    rejections: list[Rejection] = []
+    index = DocumentIndex(
+        (doc_id, intern(lang), intern(country), intern(party), _is_retweet(text, retweet))
+        for doc_id, text, lang, country, _, party, _, retweet in _valid_records(path, fmt, rejections)
+    )
+    return index, tuple(rejections)
 
 
 def ingest_gold(path: str | Path) -> list[GoldLabel]:

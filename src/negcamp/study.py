@@ -19,7 +19,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, DesignError, RankDeficient
-from .ingest import Corpus, Document, PartyMeta, detect_retweet
+from .ingest import DocumentIndex, PartyMeta
 from .runio import canonical_float
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ class PartyAggregate:
 
 
 def aggregate_parties(
-    corpus: Corpus,
+    index: DocumentIndex,
     labels: Mapping[str, int],
     party_meta: Mapping[str, PartyMeta],
     filters: AggregationFilters = AggregationFilters(),
@@ -88,39 +88,37 @@ def aggregate_parties(
     count. Filters apply in order: retweet split, independents, minimum
     total tweets. Parties whose analysis base ends up empty are dropped.
     Parties missing from ``party_meta`` are retained but flagged; the design
-    builder excludes them.
+    builder excludes them. A party's country is that of its lowest-id
+    labeled document.
     """
+    # party -> [country, originals, negative originals, retweets, negative retweets]
+    tallies: dict[str, list] = {}
+    for doc_id, _, country, party_id, is_retweet in index:
+        label = labels.get(doc_id)
+        if label is None:
+            continue
+        tally = tallies.get(party_id)
+        if tally is None:
+            tally = tallies[party_id] = [country, 0, 0, 0, 0]
+        slot = 3 if is_retweet and filters.exclude_retweets else 1
+        tally[slot] += 1
+        tally[slot + 1] += label
     aggregates = []
-    for party_id in sorted(corpus.by_party):
+    for party_id, (country, n_original, n_negative, n_retweets, n_negative_retweets) in tallies.items():
         if filters.exclude_independents and party_id == "":
             continue
-        docs = [d for d in corpus.by_party[party_id] if d.id in labels]
-        if len(docs) < filters.min_tweets:
+        if n_original + n_retweets < filters.min_tweets or not n_original:
             continue
-        if filters.exclude_retweets:
-            originals = [d for d in docs if not detect_retweet(d)]
-            retweets = [d for d in docs if detect_retweet(d)]
-        else:
-            originals = docs
-            retweets = []
-        if not originals:
-            continue
-        n_negative = sum(labels[d.id] for d in originals)
-        pct_retweets = None
-        if retweets:
-            pct_retweets = 100.0 * sum(labels[d.id] for d in retweets) / len(retweets)
-        flags = () if party_id in party_meta else ("missing_meta",)
-        country = docs[0].country
         aggregates.append(
             PartyAggregate(
                 party_id=party_id,
                 country=country,
-                n_total=len(docs),
-                n_original=len(originals),
+                n_total=n_original + n_retweets,
+                n_original=n_original,
                 n_negative_original=n_negative,
-                pct_negative=100.0 * n_negative / len(originals),
-                pct_negative_retweets=pct_retweets,
-                flags=flags,
+                pct_negative=100.0 * n_negative / n_original,
+                pct_negative_retweets=100.0 * n_negative_retweets / n_retweets if n_retweets else None,
+                flags=() if party_id in party_meta else ("missing_meta",),
             )
         )
     aggregates.sort(key=lambda a: (a.country, a.party_id))
@@ -151,6 +149,8 @@ class DesignMatrix:
     family_by_row: tuple[str, ...] | None = None
     family_columns: Mapping[str, int] | None = None
     reference_family: str | None = None
+    # build_design's pivoted QR of X, (q, r, pivots), reused by fit_ols
+    factorization: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_obs(self) -> int:
@@ -244,7 +244,7 @@ def build_design(
 
     if n <= k:
         raise DesignError(f"underdetermined system: {n} observations for {k} parameters")
-    _check_rank(X, columns)
+    factorization = _check_rank(X, columns)
     return DesignMatrix(
         y=y,
         X=X,
@@ -256,6 +256,7 @@ def build_design(
         family_by_row=family_by_row,
         family_columns=family_columns,
         reference_family=reference_family,
+        factorization=factorization,
     )
 
 
@@ -278,7 +279,9 @@ class OlsFit:
 
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
-    """Least squares via the pivoted QR decomposition of the rank check."""
+    """Least squares via the pivoted QR decomposition of the rank check,
+    the one ``build_design`` stored or, for a design built by hand, a new
+    one."""
     import numpy as np
     from scipy import linalg
 
@@ -286,7 +289,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     n, k = X.shape
     if n <= k:
         raise DesignError(f"underdetermined system: {n} observations for {k} parameters")
-    q, r, pivots = _check_rank(X, design.columns)
+    q, r, pivots = design.factorization or _check_rank(X, design.columns)
     beta = np.empty(k)
     beta[pivots] = linalg.solve_triangular(r, q.T @ y)
     fitted = X @ beta
@@ -484,21 +487,27 @@ class CountryNegativity:
     pct_retweet: float | None
 
 
-def country_negativity(corpus: Corpus, labels: Mapping[str, int]) -> list[CountryNegativity]:
+def country_negativity(index: DocumentIndex, labels: Mapping[str, int]) -> list[CountryNegativity]:
     """Message-level negativity percentages per country, no party filters."""
-    rows = []
-    for country in sorted(corpus.by_country):
-        docs = [d for d in corpus.by_country[country] if d.id in labels]
-        originals = [labels[d.id] for d in docs if not detect_retweet(d)]
-        retweets = [labels[d.id] for d in docs if detect_retweet(d)]
-        rows.append(
-            CountryNegativity(
-                country=country,
-                pct_original=100.0 * sum(originals) / len(originals) if originals else None,
-                pct_retweet=100.0 * sum(retweets) / len(retweets) if retweets else None,
-            )
+    # country -> [originals, negative originals, retweets, negative retweets]
+    tallies: dict[str, list[int]] = {}
+    for doc_id, _, country, _, is_retweet in index:
+        tally = tallies.get(country)
+        if tally is None:
+            tally = tallies[country] = [0, 0, 0, 0]
+        label = labels.get(doc_id)
+        if label is not None:
+            slot = 2 if is_retweet else 0
+            tally[slot] += 1
+            tally[slot + 1] += label
+    return [
+        CountryNegativity(
+            country=country,
+            pct_original=100.0 * n_negative / n_original if n_original else None,
+            pct_retweet=100.0 * n_negative_retweets / n_retweets if n_retweets else None,
         )
-    return rows
+        for country, (n_original, n_negative, n_retweets, n_negative_retweets) in sorted(tallies.items())
+    ]
 
 
 def render_regression_text(fit: RegressionFit, title: str = "Model") -> str:

@@ -2,13 +2,19 @@
 
 These deliberately avoid the library's code paths: agreement coefficients
 enumerate value pairs directly instead of building a coincidence matrix,
-F1 numbers come from plain counting loops, and the covariance oracles use
-explicit per-observation outer products with a pinv bread.
+F1 numbers come from plain counting loops, the covariance oracles use
+explicit per-observation outer products with a pinv bread, and the party and
+country aggregates build per-group document lists from a full ``Corpus``.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
+
+from negcamp.ingest import Corpus, PartyMeta, detect_retweet
+from negcamp.study import AggregationFilters, CountryNegativity, PartyAggregate
 
 
 def alpha_brute(units: list[list[int]]) -> float | None:
@@ -111,3 +117,72 @@ def within_demeaned_beta(y: np.ndarray, X: np.ndarray, groups: list[str]) -> np.
         X[rows] -= X[rows].mean(axis=0)
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     return beta
+
+
+def _grouped(corpus: Corpus, key) -> dict[str, list]:
+    groups: dict[str, list] = {}
+    for doc in corpus:
+        groups.setdefault(key(doc), []).append(doc)
+    return groups
+
+
+def aggregate_parties_lists(
+    corpus: Corpus,
+    labels: Mapping[str, int],
+    party_meta: Mapping[str, PartyMeta],
+    filters: AggregationFilters = AggregationFilters(),
+) -> list[PartyAggregate]:
+    """Party aggregates from per-party document lists."""
+    by_party = _grouped(corpus, lambda d: d.party_id)
+    aggregates = []
+    for party_id in sorted(by_party):
+        if filters.exclude_independents and party_id == "":
+            continue
+        docs = [d for d in by_party[party_id] if d.id in labels]
+        if len(docs) < filters.min_tweets:
+            continue
+        if filters.exclude_retweets:
+            originals = [d for d in docs if not detect_retweet(d)]
+            retweets = [d for d in docs if detect_retweet(d)]
+        else:
+            originals = docs
+            retweets = []
+        if not originals:
+            continue
+        n_negative = sum(labels[d.id] for d in originals)
+        pct_retweets = None
+        if retweets:
+            pct_retweets = 100.0 * sum(labels[d.id] for d in retweets) / len(retweets)
+        flags = () if party_id in party_meta else ("missing_meta",)
+        aggregates.append(
+            PartyAggregate(
+                party_id=party_id,
+                country=docs[0].country,
+                n_total=len(docs),
+                n_original=len(originals),
+                n_negative_original=n_negative,
+                pct_negative=100.0 * n_negative / len(originals),
+                pct_negative_retweets=pct_retweets,
+                flags=flags,
+            )
+        )
+    aggregates.sort(key=lambda a: (a.country, a.party_id))
+    return aggregates
+
+
+def country_negativity_lists(corpus: Corpus, labels: Mapping[str, int]) -> list[CountryNegativity]:
+    """Per-country negativity from per-country label lists."""
+    by_country = _grouped(corpus, lambda d: d.country)
+    rows = []
+    for country in sorted(by_country):
+        docs = [d for d in by_country[country] if d.id in labels]
+        originals = [labels[d.id] for d in docs if not detect_retweet(d)]
+        retweets = [labels[d.id] for d in docs if detect_retweet(d)]
+        rows.append(
+            CountryNegativity(
+                country=country,
+                pct_original=100.0 * sum(originals) / len(originals) if originals else None,
+                pct_retweet=100.0 * sum(retweets) / len(retweets) if retweets else None,
+            )
+        )
+    return rows

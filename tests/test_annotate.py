@@ -1,3 +1,5 @@
+import email.utils
+import json
 import random
 import signal
 import sys
@@ -5,6 +7,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
@@ -24,6 +27,7 @@ from negcamp.annotate import (
     estimate_cost,
     parse_label,
     read_annotations,
+    read_labels,
     write_annotations,
 )
 from negcamp.codebook import PromptVariant, builtin_codebooks, render
@@ -440,6 +444,50 @@ class TestHttpTransport:
         assert self.classify(session, sleeps).label == 0
         assert sleeps[0] >= 30.0
 
+    def retry_after(self, header):
+        transport = HttpTransport(api_key="test-key", session=StubSession(StubResponse(429, headers={"Retry-After": header})))
+        with pytest.raises(TransportError) as err:
+            transport.complete("system", "user", CONFIG)
+        return err.value.retry_after
+
+    def test_retry_after_http_date_in_seconds_from_now(self):
+        in_two_minutes = datetime.now(timezone.utc) + timedelta(seconds=120)
+        assert 110.0 <= self.retry_after(email.utils.format_datetime(in_two_minutes, usegmt=True)) <= 120.0
+
+    def test_retry_after_unzoned_date_read_as_utc(self, monkeypatch):
+        in_two_minutes = datetime.now(timezone.utc) + timedelta(seconds=120)
+        header = email.utils.format_datetime(in_two_minutes.replace(tzinfo=None))  # "... -0000"
+        try:
+            with monkeypatch.context() as patch:
+                patch.setenv("TZ", "XST+05")  # local time five hours behind UTC
+                time.tzset()
+                assert 110.0 <= self.retry_after(header) <= 120.0
+        finally:
+            time.tzset()
+
+    @pytest.mark.parametrize("header", ["Wed, 21 Oct 2015 07:28:00 GMT", "Wed, 21 Oct 2015 07:28:00 -0000"])
+    def test_retry_after_past_date_is_zero(self, header):
+        assert self.retry_after(header) == 0.0
+
+    @pytest.mark.parametrize("header", ["soon", "", "Wed, 32 Oct 2015 07:28:00 GMT"])
+    def test_retry_after_unparseable_is_none(self, header):
+        assert self.retry_after(header) is None
+
+    def test_own_session_pools_one_connection_per_request_in_flight(self):
+        transport = HttpTransport(api_key="test-key", pool_maxsize=16)
+        with closing(transport._session) as session:
+            for url in ("https://api.example/v1", "http://127.0.0.1:9/v1"):
+                adapter = session.get_adapter(url)
+                assert adapter._pool_maxsize == 16
+                assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+
+    def test_given_session_left_alone(self):
+        with closing(requests.Session()) as session:
+            adapters = dict(session.adapters)
+            HttpTransport(api_key="test-key", session=session, pool_maxsize=16)
+            assert session.adapters == adapters
+            assert session.get_adapter("https://api.example/v1")._pool_maxsize == requests.adapters.DEFAULT_POOLSIZE
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_rejected_key_stops_the_batch(self, corpus, status):
         session = StubSession(StubResponse(status))
@@ -467,7 +515,38 @@ class TestEstimateCost:
             estimate_cost(10, -1, 1, CONFIG)
 
 
+def annotation_record(**overrides):
+    record = {"doc_id": "d1", "label": 1, "raw_response": "1", "model_id": "m", "prompt_hash": "h",
+              "input_tokens": 40, "output_tokens": 1}
+    record.update(overrides)
+    return {k: v for k, v in record.items() if v is not ...}
+
+
 class TestAnnotationIo:
+    def test_labels_read_directly(self, golden_dir):
+        path = golden_dir / "annotations.jsonl"
+        assert read_labels(path) == {r.doc_id: r.label for r in read_annotations(path)}
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            (annotation_record(prompt_hash=...), KeyError),
+            (annotation_record(label=...), KeyError),
+            (annotation_record(input_tokens=...), KeyError),
+            (annotation_record(label="negative"), ValueError),
+            (annotation_record(output_tokens="one"), ValueError),
+            (annotation_record(input_tokens=None), TypeError),
+        ],
+        ids=["no-prompt-hash", "no-label", "no-input-tokens", "label-not-int", "tokens-not-int", "tokens-null"],
+    )
+    def test_label_reader_raises_like_from_record(self, tmp_path, record, error):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(json.dumps(annotation_record(doc_id="d0")) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(error):
+            read_annotations(path)
+        with pytest.raises(error):
+            read_labels(path)
+
     def test_write_read_roundtrip(self, corpus, mock_transport, tmp_path):
         batch = annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=8, retry=MOCK_RETRY)
         path = tmp_path / "annotations.jsonl"

@@ -93,6 +93,7 @@ class TestAnnotateCommand:
         assert "401" in err and "test-key" not in err
         assert session.posts <= 4
         assert not (tmp_path / "annotations.jsonl").exists()
+        assert session.adapters["https://"]._pool_maxsize == 4  # one connection per concurrent request
 
     def test_config_file(self, data_dir, tmp_path):
         config = {

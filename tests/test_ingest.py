@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,10 +8,12 @@ from helpers import make_doc
 from negcamp.errors import IngestError
 from negcamp.ingest import (
     Corpus,
+    DocumentIndex,
     detect_retweet,
     gold_label_map,
     ingest_documents,
     ingest_gold,
+    ingest_index,
     ingest_party_meta,
 )
 from negcamp.reliability import RatingTable
@@ -56,7 +59,7 @@ class TestIngestDocuments:
         # Independent oracle: count the fixture's lines directly.
         lines = (data_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
         assert len(corpus) == len(lines) == 60
-        assert set(corpus.by_country) == {"DE", "ES", "GB"}
+        assert {d.country for d in corpus} == {"DE", "ES", "GB"}
         langs = {json.loads(line)["lang"] for line in lines}
         assert len(langs) == 3
 
@@ -105,16 +108,100 @@ class TestIngestDocuments:
         first = ingest_documents(data_dir / "corpus.jsonl").corpus
         second = ingest_documents(data_dir / "corpus.jsonl").corpus
         assert first == second
-        assert list(first.by_party) == list(second.by_party)
 
     def test_iteration_sorted_by_id(self, corpus):
         ids = [d.id for d in corpus]
         assert ids == sorted(ids)
 
     def test_index_partition(self, corpus):
-        assert sum(len(v) for v in corpus.by_party.values()) == len(corpus)
-        assert sum(len(v) for v in corpus.by_country.values()) == len(corpus)
         assert set(corpus.by_id) == {d.id for d in corpus}
+
+
+# One record per rejection reason, after a valid d1 (line 1) and before a
+# valid d2 (last line), which is a retweet by its "RT @" prefix only.
+JSONL_LINES = [
+    json.dumps(record("d1")),
+    "",
+    "{oops",
+    "[1, 2]",
+    json.dumps({"id": "dx", "text": "hi"}),
+    json.dumps(record("dx", text="")),
+    json.dumps(record("dx", lang="xx")),
+    json.dumps(record("dx", country="ZZ")),
+    json.dumps(record("dx", created_at="yesterday")),
+    json.dumps(record("dx", retweet="maybe")),
+    json.dumps(record("dx", retweet=1)),
+    json.dumps(record("d1", text="again")),
+    json.dumps(record("d2", text=" RT @x hi", party="")),
+]
+JSONL_REASONS = [
+    "blank line", "invalid JSON", "record is not an object", "missing fields", "empty text", "invalid language",
+    "invalid country", "invalid created_at", "invalid retweet flag", "invalid retweet flag", "duplicate id",
+]
+CSV_LINES = [
+    "id,text,lang,country,author,party,created_at,retweet",
+    "d1,a message,en,GB,a1,p1,2020-01-01T00:00:00Z,false",
+    "dx,too short",
+    "dx,,en,GB,a1,p1,2020-01-01T00:00:00Z,false",
+    "dx,hi,xx,GB,a1,p1,2020-01-01T00:00:00Z,false",
+    "dx,hi,en,ZZ,a1,p1,2020-01-01T00:00:00Z,false",
+    "dx,hi,en,GB,a1,p1,yesterday,false",
+    "dx,hi,en,GB,a1,p1,2020-01-01T00:00:00Z,maybe",
+    "d1,again,en,GB,a1,p1,2020-01-01T00:00:00Z,false",
+    "d2,RT @x hi,de,DE,a2,,2021-07-01T10:30:00+02:00,FALSE",
+]
+CSV_REASONS = [
+    "missing fields", "empty text", "invalid language", "invalid country", "invalid created_at",
+    "invalid retweet flag", "duplicate id",
+]
+
+
+class TestDocumentIndex:
+    @pytest.mark.parametrize("fmt, lines, reasons", [("jsonl", JSONL_LINES, JSONL_REASONS), ("csv", CSV_LINES, CSV_REASONS)])
+    def test_same_rejections_and_rows_as_corpus(self, tmp_path, fmt, lines, reasons):
+        path = tmp_path / f"c.{fmt}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ingest = ingest_documents(path, fmt=fmt)
+        index, rejections = ingest_index(path, fmt=fmt)
+        assert rejections == ingest.rejections
+        assert [r.reason.startswith(reason) for r, reason in zip(rejections, reasons)] == [True] * len(reasons)
+        assert len(rejections) == len(reasons)
+        assert index == DocumentIndex.from_documents(ingest.corpus)
+        assert [row[0] for row in index] == ["d1", "d2"]
+        assert [row[4] for row in index] == [False, True]
+
+    def test_rows_resolve_retweets_and_share_strings(self, corpus, index):
+        assert len(index) == len(corpus)
+        for doc, (doc_id, language, country, party_id, is_retweet) in zip(corpus, index):
+            assert (doc_id, language, country, party_id) == (doc.id, doc.language, doc.country, doc.party_id)
+            assert is_retweet is detect_retweet(doc)
+        by_country = {}
+        for row in index:
+            assert by_country.setdefault(row[2], row[2]) is row[2]
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(IngestError):
+            DocumentIndex.from_documents([make_doc(doc_id="d1"), make_doc(doc_id="d1", country="DE")])
+
+    def test_memory_per_document(self, tmp_path):
+        # A Corpus keeps about 734 B per document; the index must stay lean.
+        n = 20_000
+        path = tmp_path / "c.jsonl"
+        countries = (("en", "GB"), ("de", "DE"), ("es", "ES"))
+        write_jsonl(path, [
+            record(f"d{i:07d}", text=f"message {i} about the campaign, with some words", lang=countries[i % 3][0],
+                   country=countries[i % 3][1], party=f"p{i % 151:03d}", author=f"a{i % 997}", retweet=i % 7 == 0)
+            for i in range(n)
+        ])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index, rejections = ingest_index(path)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index) == n and rejections == ()
+        assert kept / n <= 250, f"{kept / n:.0f} B per document"
 
 
 class TestIngestGold:

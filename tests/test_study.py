@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import make_corpus, make_doc, synthetic_study
-from oracles import classical_cov, hc0_cov, within_demeaned_beta
+from helpers import make_corpus, make_doc, make_index, synthetic_study
+from oracles import aggregate_parties_lists, classical_cov, country_negativity_lists, hc0_cov, within_demeaned_beta
 from negcamp.errors import DesignError, RankDeficient
 from negcamp.ingest import PartyMeta
 from negcamp.study import (
@@ -89,7 +89,7 @@ class TestAggregateParties:
 
     def test_hand_count(self):
         docs, labels = self.party_docs(n=6, retweets=1, negatives=(0, 1))
-        aggs = aggregate_parties(make_corpus(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
         assert len(aggs) == 1
         agg = aggs[0]
         assert agg.n_total == 6
@@ -101,37 +101,37 @@ class TestAggregateParties:
     def test_min_tweets_boundary(self):
         docs_a, labels_a = self.party_docs(party="small", n=499, retweets=0, negatives=())
         docs_b, labels_b = self.party_docs(party="large", n=500, retweets=0, negatives=())
-        corpus = make_corpus(docs_a + docs_b)
+        index = make_index(docs_a + docs_b)
         labels = {**labels_a, **labels_b}
         metas = {"small": meta("small"), "large": meta("large")}
-        aggs = aggregate_parties(corpus, labels, metas, AggregationFilters(min_tweets=500))
+        aggs = aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=500))
         assert [a.party_id for a in aggs] == ["large"]
 
     def test_independents_excluded(self):
         docs, labels = self.party_docs(party="", n=4, retweets=0, negatives=(0,))
-        aggs = aggregate_parties(make_corpus(docs), labels, {}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(make_index(docs), labels, {}, AggregationFilters(min_tweets=0))
         assert aggs == []
         with_ind = aggregate_parties(
-            make_corpus(docs), labels, {}, AggregationFilters(min_tweets=0, exclude_independents=False)
+            make_index(docs), labels, {}, AggregationFilters(min_tweets=0, exclude_independents=False)
         )
         assert len(with_ind) == 1
 
     def test_retweet_split_disabled(self):
         docs, labels = self.party_docs(n=6, retweets=2, negatives=(0,))
         filters = AggregationFilters(min_tweets=0, exclude_retweets=False)
-        agg = aggregate_parties(make_corpus(docs), labels, {"p1": meta("p1")}, filters)[0]
+        agg = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, filters)[0]
         assert agg.n_original == agg.n_total == 6
         assert agg.pct_negative_retweets is None
 
     def test_missing_meta_flagged(self):
         docs, labels = self.party_docs()
-        agg = aggregate_parties(make_corpus(docs), labels, {}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(make_index(docs), labels, {}, AggregationFilters(min_tweets=0))[0]
         assert "missing_meta" in agg.flags
 
     def test_unlabeled_docs_excluded_from_counts(self):
         docs, labels = self.party_docs(n=6, retweets=0, negatives=(0,))
         del labels[docs[-1].id]
-        agg = aggregate_parties(make_corpus(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
         assert agg.n_total == 5
 
     @given(st.integers(0, 8), st.integers(0, 8))
@@ -144,21 +144,68 @@ class TestAggregateParties:
             d, lab = self.party_docs(party=p, n=size, retweets=0, negatives=())
             docs += d
             labels.update(lab)
-        corpus = make_corpus(docs)
+        index = make_index(docs)
         metas = {p: meta(p) for p in ("p1", "p2", "p3")}
-        low = {a.party_id for a in aggregate_parties(corpus, labels, metas, AggregationFilters(min_tweets=t_low))}
-        high = {a.party_id for a in aggregate_parties(corpus, labels, metas, AggregationFilters(min_tweets=t_high))}
+        low = {a.party_id for a in aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=t_low))}
+        high = {a.party_id for a in aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=t_high))}
         assert high <= low
 
-    def test_invariants_on_fixture(self, corpus, party_meta, mock_map):
+    def test_invariants_on_fixture(self, index, party_meta, mock_map):
         from negcamp.annotate import parse_label
 
         labels = {k: parse_label(v) for k, v in mock_map.items()}
-        aggs = aggregate_parties(corpus, labels, party_meta, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(index, labels, party_meta, AggregationFilters(min_tweets=0))
         for a in aggs:
             assert a.n_negative_original <= a.n_original <= a.n_total
             assert 0.0 <= a.pct_negative <= 100.0
             assert a.pct_negative == pytest.approx(100.0 * a.n_negative_original / a.n_original)
+
+
+    def test_country_of_lowest_id_labeled_document(self):
+        docs = [make_doc(doc_id="a", country="DE"), make_doc(doc_id="b", country="GB"), make_doc(doc_id="c", country="DE")]
+        agg = aggregate_parties(make_index(docs), {"b": 1, "c": 0}, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        assert agg.country == "GB"
+
+
+# (party, country, text, retweet flag, label or None) of one document
+DOC_SPECS = st.tuples(
+    st.sampled_from(["", "p1", "p2", "p3"]),
+    st.sampled_from(["GB", "DE", "ES"]),
+    st.sampled_from(["plain text", "RT @x hi", "  RT @y hi", "RT without handle"]),
+    st.booleans(),
+    st.sampled_from([None, 0, 1]),
+)
+
+
+@given(
+    specs=st.lists(DOC_SPECS, max_size=40),
+    exclude_retweets=st.booleans(),
+    exclude_independents=st.booleans(),
+    min_tweets=st.integers(0, 45),
+    with_meta=st.sets(st.sampled_from(["p1", "p2", "p3"])),
+)
+@example(
+    specs=[("p1", "DE", "plain text", False, None), ("p1", "GB", "RT @x hi", False, 1), ("p1", "DE", "plain text", False, 0),
+           ("", "ES", "plain text", True, 1), ("p2", "ES", "plain text", False, None)],
+    exclude_retweets=True,
+    exclude_independents=False,
+    min_tweets=0,
+    with_meta={"p1"},
+)
+@settings(max_examples=300, deadline=None)
+def test_index_aggregation_equals_list_oracle(specs, exclude_retweets, exclude_independents, min_tweets, with_meta):
+    docs = [
+        make_doc(doc_id=f"d{i:03d}", party=party, country=country, text=text, retweet=flag)
+        for i, (party, country, text, flag, _) in enumerate(specs)
+    ]
+    labels = {f"d{i:03d}": spec[4] for i, spec in enumerate(specs) if spec[4] is not None}
+    metas = {p: meta(p) for p in with_meta}
+    filters = AggregationFilters(
+        exclude_retweets=exclude_retweets, min_tweets=min_tweets, exclude_independents=exclude_independents
+    )
+    index, corpus = make_index(docs), make_corpus(docs)
+    assert aggregate_parties(index, labels, metas, filters) == aggregate_parties_lists(corpus, labels, metas, filters)
+    assert country_negativity(index, labels) == country_negativity_lists(corpus, labels)
 
 
 class TestBuildDesign:
@@ -266,6 +313,32 @@ class TestFitOls:
         for name, key in ((GOVT_NAME, "govt"), (ANTIELITE_NAME, "antielite"), (EXTREMISM_NAME, "extremism")):
             estimate, se, _, _ = fit.coefficient(name)
             assert abs(estimate - true_beta[key]) < 3 * se
+
+
+    def test_design_factorized_once(self, monkeypatch):
+        from scipy import linalg
+
+        calls = []
+        qr = linalg.qr
+        monkeypatch.setattr(linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+        aggregates, party_meta, _ = synthetic_study(seed=4)
+        design = build_design(aggregates, party_meta, ModelVariant.FAMILY)
+        fit_model(design)
+        assert len(calls) == 1
+        fit_model(raw_design(design.y, design.X, design.columns, design.clusters))
+        assert len(calls) == 2  # a hand-built design is factorized by the fit
+
+    def test_hand_built_rank_deficient_design_rejected(self):
+        x = np.arange(6.0)
+        design = raw_design(
+            y=[1.0, 3.0, 2.0, 5.0, 4.0, 6.0],
+            X=np.column_stack([np.ones(6), x, 2 * x]),
+            columns=(INTERCEPT_NAME, "x", "twice x"),
+            clusters=("a", "b", "c", "a", "b", "c"),
+        )
+        with pytest.raises(RankDeficient) as err:
+            fit_ols(design)
+        assert {"x", "twice x"} & set(err.value.columns)
 
 
 class TestClusterRobustSe:
@@ -425,13 +498,13 @@ class TestCountryNegativity:
             make_doc(doc_id="r2", country="GB", retweet=True),
         ]
         labels = {"o1": 1, "o2": 0, "o3": 0, "o4": 1, "r1": 0, "r2": 0}
-        rows = country_negativity(make_corpus(docs), labels)
+        rows = country_negativity(make_index(docs), labels)
         assert rows[0].pct_original == pytest.approx(50.0)
         assert rows[0].pct_retweet == pytest.approx(0.0)
 
     def test_no_retweets_reported_absent(self):
         docs = [make_doc(doc_id="o1", country="GB")]
-        rows = country_negativity(make_corpus(docs), {"o1": 1})
+        rows = country_negativity(make_index(docs), {"o1": 1})
         assert rows[0].pct_retweet is None
         assert rows[0].pct_original == pytest.approx(100.0)
 
@@ -443,7 +516,7 @@ class TestCountryNegativity:
                 doc_id = f"{country}{i:03d}"
                 docs.append(make_doc(doc_id=doc_id, country=country, party=f"{country}_p"))
                 labels[doc_id] = 1 if i < rate else 0
-        rows = {r.country: r for r in country_negativity(make_corpus(docs), labels)}
+        rows = {r.country: r for r in country_negativity(make_index(docs), labels)}
         assert rows["IS"].pct_original == 9.0
         assert rows["ES"].pct_original == 37.0
 
