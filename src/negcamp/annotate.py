@@ -543,11 +543,13 @@ def annotate_batch(
 
     pending = iter(corpus)
     take = threading.Lock()
+    entered = threading.Semaphore(0)  # released once by each worker as it starts
     results: list[AnnotationResult] = []
     failures: list[AnnotationFailure] = []
     raised: list[BaseException] = []
 
     def work() -> None:
+        entered.release()
         try:
             while True:
                 with take:
@@ -569,13 +571,18 @@ def annotate_batch(
 
     n_threads = min(concurrency_limit, len(corpus))
     threads = [threading.Thread(target=work, name=f"annotate-worker-{i}") for i in range(n_threads)]
+    n_launched = 0  # start() calls entered
     try:
-        for thread in threads:
+        for n_launched, thread in enumerate(threads, 1):
             thread.start()
         for thread in threads:
             thread.join()
     except BaseException as exc:  # Ctrl-C while waiting, or a thread that failed to start
         raised.append(exc)
+        # A Ctrl-C inside start() can leave a launched thread not yet alive: wait
+        # until each has started. start() raises an Exception only if it launched none.
+        for _ in range(n_launched - isinstance(exc, Exception)):
+            entered.acquire()
         for thread in threads:
             if thread.is_alive():
                 thread.join()
@@ -617,8 +624,8 @@ def read_annotations(path: str | Path) -> list[AnnotationResult]:
 
 def read_labels(path: str | Path) -> dict[str, int]:
     """The ``doc_id -> label`` map of an annotations file, read without
-    building ``AnnotationResult`` objects. A record with a missing field or a
-    non-integer label or token count raises as ``from_record`` does."""
+    building ``AnnotationResult`` objects. A missing field or a non-integer
+    label or token count raises as ``from_record`` does; so does a label not 0 or 1."""
     labels: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
@@ -626,5 +633,7 @@ def read_labels(path: str | Path) -> dict[str, int]:
                 record = json.loads(line)
                 record["raw_response"], record["model_id"], record["prompt_hash"]  # a missing field raises KeyError
                 int(record["input_tokens"]), int(record["output_tokens"])
-                labels[str(record["doc_id"])] = int(record["label"])
+                label = labels[str(record["doc_id"])] = int(record["label"])
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} of document {record['doc_id']!r} is not 0 or 1")
     return labels

@@ -178,7 +178,10 @@ def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
     path = config.annotations if config.annotations is not None else config.out / "annotations.jsonl"
     if not path.is_file():
         raise ConfigError(f"annotations path does not exist: {path}")
-    return read_labels(path), path
+    try:
+        return read_labels(path), path
+    except (KeyError, ValueError, TypeError) as exc:  # KeyError: a missing field
+        raise IngestError(f"malformed record in annotations file {path}: {type(exc).__name__}: {exc}") from None
 
 
 def cmd_annotate(config: RunConfig) -> int:
@@ -285,7 +288,7 @@ def cmd_evaluate(config: RunConfig) -> int:
 
     gold_rows = [row for row in index if row[0] in gold]  # only gold documents can join
     by_country = grouped_report(gold, predicted, {row[0]: row[2] for row in gold_rows})
-    by_language = grouped_report(gold, predicted, {row[0]: row[1] for row in gold_rows}, pooled=by_country.pooled)
+    by_language = grouped_report(gold, predicted, {row[0]: row[1] for row in gold_rows})
     if by_country.n_gold_only:
         logger.warning("%d gold labels reference documents outside the predictions; kept, join is on the intersection", by_country.n_gold_only)
 

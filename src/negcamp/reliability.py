@@ -6,7 +6,8 @@ received, so both are computed from a histogram of per-item (n_0, n_1)
 counts (Krippendorff's values-by-units form). Their sums are exact
 (integers and ``Fraction``s) and rounded once, so reports are bit-identical
 whatever the order of items, raters or cells. Comparisons operate on the
-id-intersection of the two label sets.
+id-intersection of the two label sets. For two raters the histogram follows
+from the 2x2 confusion counts, so a comparison is computed from those alone.
 """
 
 from __future__ import annotations
@@ -61,24 +62,6 @@ class RatingTable:
         raters = tuple(sorted({rater for _, rater in values}))
         return cls(items=items, raters=raters, values=values)
 
-    @classmethod
-    def from_pair(
-        cls,
-        gold: Mapping[str, int],
-        predicted: Mapping[str, int],
-        gold_name: str = "gold",
-        predicted_name: str = "model",
-    ) -> "RatingTable":
-        """Two-rater table over the id-intersection of gold and predicted."""
-        shared = sorted(set(gold) & set(predicted))
-        if not shared:
-            raise EvaluationJoinError("gold and predicted labels share no document ids")
-        values: dict[tuple[str, str], int] = {}
-        for doc_id in shared:
-            values[(doc_id, gold_name)] = gold[doc_id]
-            values[(doc_id, predicted_name)] = predicted[doc_id]
-        return cls(items=tuple(shared), raters=(gold_name, predicted_name), values=values)
-
     @cached_property
     def patterns(self) -> Counter[tuple[int, int]]:
         """Number of items per (n_0, n_1): how many 0 and 1 labels an item got."""
@@ -92,33 +75,48 @@ class RatingTable:
 class ConfusionMatrix:
     """Binary counts with class 1 (presence) as positive."""
 
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+    tn: int = 0
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
+    @property
+    def patterns(self) -> Counter[tuple[int, int]]:
+        """Items per (n_0, n_1), as ``RatingTable.patterns`` counts a
+        two-rater table: (2, 0) for tn, (0, 2) for tp, (1, 1) otherwise."""
+        return Counter({(2, 0): self.tn, (1, 1): self.fp + self.fn, (0, 2): self.tp})
+
+
+# (gold, predicted) label pair -> ConfusionMatrix field
+_CELLS = {(1, 1): "tp", (0, 1): "fp", (1, 0): "fn", (0, 0): "tn"}
+_ABSENT = object()  # an id that predicted lacks
+
+
+def _counts_by_group(
+    gold: Mapping[str, int], predicted: Mapping[str, int], groups: Mapping[str, str]
+) -> dict[str | None, Counter[str]]:
+    """ConfusionMatrix field counts per group over the id-intersection, ids
+    without a group under ``None``; raises if it is empty or a label not 0/1."""
+    counts: dict[str | None, Counter[str]] = {}
+    for (key, g, p), n in Counter((groups.get(d), g, predicted.get(d, _ABSENT)) for d, g in gold.items()).items():
+        if p is _ABSENT:  # a gold-only id
+            continue
+        if (g, p) not in _CELLS:
+            doc = min(d for d in gold.keys() & predicted.keys() if (gold[d], predicted[d]) not in _CELLS)
+            raise ValueError(f"non-binary label for document {doc!r}: gold {gold[doc]!r}, predicted {predicted[doc]!r}")
+        counts.setdefault(key, Counter())[_CELLS[g, p]] += n
+    if not counts:
+        raise EvaluationJoinError("gold and predicted labels share no document ids")
+    return counts
+
 
 def confusion(gold: Mapping[str, int], predicted: Mapping[str, int]) -> ConfusionMatrix:
-    """Confusion counts over the id-intersection; raises if it is empty."""
-    shared = sorted(set(gold) & set(predicted))
-    if not shared:
-        raise EvaluationJoinError("gold and predicted labels share no document ids")
-    tp = fp = fn = tn = 0
-    for doc_id in shared:
-        g, p = gold[doc_id], predicted[doc_id]
-        if g == 1 and p == 1:
-            tp += 1
-        elif g == 0 and p == 1:
-            fp += 1
-        elif g == 1 and p == 0:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    """Confusion counts over the id-intersection; raises as ``_counts_by_group``."""
+    return ConfusionMatrix(**_counts_by_group(gold, predicted, {})[None])
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def f1_scores(cm: ConfusionMatrix) -> F1Scores:
     )
 
 
-def krippendorff_alpha_nominal(table: RatingTable) -> float:
+def krippendorff_alpha_nominal(table: RatingTable | ConfusionMatrix) -> float:
     """Krippendorff's alpha for nominal data via the coincidence matrix.
 
     alpha = 1 - D_o / D_e over all pairable values; items with fewer than
@@ -204,7 +202,7 @@ def krippendorff_alpha_nominal(table: RatingTable) -> float:
     return 1.0 - observed / expected
 
 
-def pairwise_percent_agreement(table: RatingTable) -> float:
+def pairwise_percent_agreement(table: RatingTable | ConfusionMatrix) -> float:
     """Fraction of agreeing rater pairs, pooled over items and rater pairs."""
     agree = total = 0
     for (n_0, n_1), n_items in table.patterns.items():
@@ -215,7 +213,7 @@ def pairwise_percent_agreement(table: RatingTable) -> float:
     return agree / total
 
 
-def brennan_prediger(table: RatingTable, q: int = 2) -> float:
+def brennan_prediger(table: RatingTable | ConfusionMatrix, q: int = 2) -> float:
     """Brennan-Prediger coefficient with uniform chance agreement 1/q.
 
     kappa_BP = (P_o - 1/q) / (1 - 1/q), where P_o is mean pairwise percent
@@ -251,16 +249,18 @@ class ReliabilityReport:
 
 def compare(gold: Mapping[str, int], predicted: Mapping[str, int]) -> ReliabilityReport:
     """Full battery comparing predicted labels against a gold standard."""
-    cm = confusion(gold, predicted)
+    return _report(confusion(gold, predicted))
+
+
+def _report(cm: ConfusionMatrix) -> ReliabilityReport:
     scores = f1_scores(cm)
-    table = RatingTable.from_pair(gold, predicted)
     flags = list(scores.flags)
     try:
-        alpha: float | None = krippendorff_alpha_nominal(table)
+        alpha: float | None = krippendorff_alpha_nominal(cm)
     except (UndefinedMetric, ValueError):
         alpha = None
         flags.append("alpha_undefined")
-    kappa = brennan_prediger(table, q=2)
+    kappa = brennan_prediger(cm, q=2)
     return ReliabilityReport(
         acc=scores.accuracy,
         f1_0=scores.f1_0,
@@ -286,37 +286,20 @@ class GroupedReport:
     n_predicted_only: int = 0
 
 
-def grouped_report(
-    gold: Mapping[str, int],
-    predicted: Mapping[str, int],
-    groups: Mapping[str, str],
-    pooled: ReliabilityReport | None = None,
-) -> GroupedReport:
+def grouped_report(gold: Mapping[str, int], predicted: Mapping[str, int], groups: Mapping[str, str]) -> GroupedReport:
     """Per-group reliability rows plus the pooled row.
 
     ``groups`` maps document ids to a group key (country or language).
-    Groups whose id-intersection with the labels is empty are omitted.
-    ``pooled``, if given, is ``compare(gold, predicted)`` from an earlier
-    grouping of the same labels and is reused instead of recomputed.
+    Groups whose id-intersection with the labels is empty are omitted; the
+    pooled row also counts shared ids that have no group.
     """
-    shared = set(gold) & set(predicted)
-    if not shared:
-        raise EvaluationJoinError("gold and predicted labels share no document ids")
-    if pooled is None:
-        pooled = compare(gold, predicted)
-    members: dict[str, list[str]] = {}
-    for doc_id in shared:
-        if doc_id in groups:
-            members.setdefault(groups[doc_id], []).append(doc_id)
-    by_group = {
-        key: compare({d: gold[d] for d in ids}, {d: predicted[d] for d in ids})
-        for key, ids in sorted(members.items())
-    }
+    counts = _counts_by_group(gold, predicted, groups)
+    pooled = _report(ConfusionMatrix(**sum(counts.values(), Counter())))
     return GroupedReport(
         pooled=pooled,
-        groups=by_group,
-        n_gold_only=len(set(gold) - shared),
-        n_predicted_only=len(set(predicted) - shared),
+        groups={key: _report(ConfusionMatrix(**counts[key])) for key in sorted(counts.keys() - {None})},
+        n_gold_only=len(gold) - pooled.n,
+        n_predicted_only=len(predicted) - pooled.n,
     )
 
 

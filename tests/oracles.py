@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: agreement coefficients
 enumerate value pairs directly instead of building a coincidence matrix,
 F1 numbers come from plain counting loops, the covariance oracles use
-explicit per-observation outer products with a pinv bread, and the party and
-country aggregates build per-group document lists from a full ``Corpus``.
+explicit per-observation outer products with a pinv bread, the party and
+country aggregates build per-group document lists from a full ``Corpus``, and
+the two-rater battery goes through a ``RatingTable`` of 2N cells.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from typing import Mapping
 
 import numpy as np
 
+from negcamp.errors import EvaluationJoinError, UndefinedMetric
 from negcamp.ingest import Corpus, PartyMeta, detect_retweet
+from negcamp.reliability import (
+    ConfusionMatrix,
+    GroupedReport,
+    RatingTable,
+    ReliabilityReport,
+    brennan_prediger,
+    f1_scores,
+    krippendorff_alpha_nominal,
+)
 from negcamp.study import AggregationFilters, CountryNegativity, PartyAggregate
 
 
@@ -88,6 +99,63 @@ def f1_brute(gold: list[int], pred: list[int]) -> dict:
     out["supp_1"] = supp1
     out["flags"] = flags
     return out
+
+
+def two_rater_table(gold: Mapping[str, int], predicted: Mapping[str, int]) -> RatingTable:
+    """Items x {gold, model} table over the id-intersection of the two maps."""
+    shared = sorted(gold.keys() & predicted.keys())
+    if not shared:
+        raise EvaluationJoinError("gold and predicted labels share no document ids")
+    return RatingTable.from_records(
+        [(d, "gold", gold[d]) for d in shared] + [(d, "model", predicted[d]) for d in shared]
+    )
+
+
+def compare_via_table(gold: Mapping[str, int], predicted: Mapping[str, int]) -> ReliabilityReport:
+    """The full battery with alpha and kappa from a two-rater ``RatingTable``
+    and the confusion counts from a plain loop over the sorted shared ids."""
+    table = two_rater_table(gold, predicted)  # raises on a label outside {0, 1}
+    cells = {(g, p): 0 for g in (0, 1) for p in (0, 1)}
+    for doc_id in table.items:
+        cells[gold[doc_id], predicted[doc_id]] += 1
+    cm = ConfusionMatrix(tp=cells[1, 1], fp=cells[0, 1], fn=cells[1, 0], tn=cells[0, 0])
+    scores = f1_scores(cm)
+    flags = list(scores.flags)
+    try:
+        alpha: float | None = krippendorff_alpha_nominal(table)
+    except (UndefinedMetric, ValueError):
+        alpha = None
+        flags.append("alpha_undefined")
+    return ReliabilityReport(
+        acc=scores.accuracy,
+        f1_0=scores.f1_0,
+        f1_1=scores.f1_1,
+        f1_w=scores.f1_weighted,
+        f1_macro=scores.f1_macro,
+        alpha_k=alpha,
+        kappa_bp=brennan_prediger(table, q=2),
+        supp_0=cm.tn + cm.fp,
+        supp_1=cm.tp + cm.fn,
+        n=cm.total,
+        flags=tuple(sorted(flags)),
+    )
+
+
+def grouped_report_via_table(
+    gold: Mapping[str, int], predicted: Mapping[str, int], groups: Mapping[str, str]
+) -> GroupedReport:
+    """``compare_via_table`` on all shared ids and on each group's shared ids."""
+    shared = gold.keys() & predicted.keys()
+    members: dict[str, list[str]] = {}
+    for doc_id in shared:
+        if doc_id in groups:
+            members.setdefault(groups[doc_id], []).append(doc_id)
+    return GroupedReport(
+        pooled=compare_via_table(gold, predicted),
+        groups={key: compare_via_table({d: gold[d] for d in ids}, {d: predicted[d] for d in ids}) for key, ids in members.items()},
+        n_gold_only=len(gold.keys() - shared),
+        n_predicted_only=len(predicted.keys() - shared),
+    )
 
 
 def hc0_cov(X: np.ndarray, residuals: np.ndarray) -> np.ndarray:

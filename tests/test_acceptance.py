@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from helpers import make_doc, make_index, synthetic_study
-from oracles import alpha_brute, f1_brute, hc0_cov, kappa_bp_brute, within_demeaned_beta
+from oracles import alpha_brute, f1_brute, hc0_cov, kappa_bp_brute, two_rater_table, within_demeaned_beta
 from negcamp.annotate import MOCK_RETRY, MockTransport, ModelConfig, annotate_batch, estimate_cost, read_annotations
 from negcamp.cli import main
 from negcamp.codebook import PromptVariant, builtin_codebooks
 from negcamp.errors import TransportError, UndefinedMetric
 from negcamp.ingest import PartyMeta
 from negcamp.reliability import (
-    RatingTable,
     brennan_prediger,
+    compare,
     confusion,
     f1_scores,
     krippendorff_alpha_nominal,
@@ -50,7 +50,7 @@ def criterion(number: int, description: str, ok: bool) -> None:
 def pair_table(a, b):
     gold = {f"i{k}": v for k, v in enumerate(a)}
     pred = {f"i{k}": v for k, v in enumerate(b)}
-    return RatingTable.from_pair(gold, pred), gold, pred
+    return two_rater_table(gold, pred), gold, pred
 
 
 def safe_alpha(table):
@@ -79,6 +79,12 @@ def test_criterion_1_exhaustive_metric_oracle_equivalence():
 
         kappa = brennan_prediger(table)
         ok &= abs(kappa - kappa_bp_brute(units)) < 1e-12
+
+        report = compare(gold, pred)
+        ok &= (report.alpha_k is None) == (alpha_expected is None)
+        if report.alpha_k is not None and alpha_expected is not None:
+            ok &= abs(report.alpha_k - alpha_expected) < 1e-12
+        ok &= abs(report.kappa_bp - kappa_bp_brute(units)) < 1e-12
 
         scores = f1_scores(confusion(gold, pred))
         expected = f1_brute(a, b)

@@ -398,6 +398,40 @@ class TestAnnotateBatch:
         assert transport.calls < 100
         assert set(threading.enumerate()) <= before
 
+    @pytest.mark.skipif(not hasattr(threading, "_start_new_thread"), reason="patches CPython 3.10-3.12 thread launch")
+    def test_interrupted_thread_start_waited_for(self, corpus, mock_transport, monkeypatch):
+        # Ctrl-C lands in the first start() after the thread was launched but
+        # before it ran: it is not yet alive, and must still be waited for.
+        launch = threading._start_new_thread
+
+        def launch_then_interrupt(bootstrap, args):
+            def delayed_bootstrap():
+                time.sleep(0.05)
+                bootstrap(*args)
+
+            launch(delayed_bootstrap, ())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading, "_start_new_thread", launch_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=4, retry=MOCK_RETRY)
+        assert [t for t in threading.enumerate() if t.name.startswith("annotate-worker-")] == []
+
+    @pytest.mark.skipif(not hasattr(threading, "_start_new_thread"), reason="patches CPython 3.10-3.12 thread launch")
+    def test_failed_thread_start_not_waited_for(self, corpus, mock_transport, monkeypatch):
+        launch = threading._start_new_thread
+        launches = []
+
+        def launch_twice_then_fail(bootstrap, args):
+            if len(launches) == 2:
+                raise RuntimeError("can't start new thread")
+            launches.append(launch(bootstrap, args))
+
+        monkeypatch.setattr(threading, "_start_new_thread", launch_twice_then_fail)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=4, retry=MOCK_RETRY)
+        assert [t for t in threading.enumerate() if t.name.startswith("annotate-worker-")] == []
+
     def test_invalid_concurrency(self, corpus, mock_transport):
         with pytest.raises(ConfigError):
             annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=0)
@@ -545,6 +579,13 @@ class TestAnnotationIo:
         with pytest.raises(error):
             read_annotations(path)
         with pytest.raises(error):
+            read_labels(path)
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_label_reader_rejects_non_binary_label(self, tmp_path, label):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(json.dumps(annotation_record(doc_id="d0")) + "\n" + json.dumps(annotation_record(label=label)) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"label {label} of document 'd1' is not 0 or 1"):
             read_labels(path)
 
     def test_write_read_roundtrip(self, corpus, mock_transport, tmp_path):

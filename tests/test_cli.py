@@ -223,6 +223,44 @@ class TestEvaluateCommand:
         assert report["pooled"]["n"] == 60
 
 
+def corrupt_annotations(golden_dir, tmp_path, defect):
+    """The golden annotations with the first record given a non-binary label
+    or stripped of its prompt hash."""
+    records = [json.loads(line) for line in (golden_dir / "annotations.jsonl").read_text(encoding="utf-8").splitlines()]
+    if defect == "label-7":
+        records[0]["label"] = 7
+    else:
+        del records[0]["prompt_hash"]
+    path = tmp_path / "annotations.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("defect", ["label-7", "no-prompt-hash"])
+class TestMalformedAnnotations:
+    def test_evaluate_exits_2(self, data_dir, golden_dir, tmp_path, capsys, defect):
+        annotations = corrupt_annotations(golden_dir, tmp_path, defect)
+        out = tmp_path / "out"
+        code = run(
+            "evaluate", "--corpus", data_dir / "corpus.jsonl", "--gold", data_dir / "gold.csv",
+            "--annotations", annotations, "--out", out,
+        )
+        assert code == 2
+        assert f"config error: malformed record in annotations file {annotations}" in capsys.readouterr().err
+        assert not (out / "evaluation.json").exists()
+
+    def test_study_exits_2(self, data_dir, golden_dir, tmp_path, capsys, defect):
+        annotations = corrupt_annotations(golden_dir, tmp_path, defect)
+        out = tmp_path / "out"
+        code = run(
+            "study", "--corpus", data_dir / "corpus.jsonl", "--annotations", annotations,
+            "--party-meta", data_dir / "parties.csv", "--min-tweets", 0, "--out", out,
+        )
+        assert code == 2
+        assert f"config error: malformed record in annotations file {annotations}" in capsys.readouterr().err
+        assert not (out / "aggregates.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def synth(tmp_path_factory):
     return synthetic_study_files(tmp_path_factory.mktemp("synth"))

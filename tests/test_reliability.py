@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from oracles import alpha_brute, f1_brute, kappa_bp_brute
+from oracles import alpha_brute, compare_via_table, f1_brute, grouped_report_via_table, kappa_bp_brute, two_rater_table
 from negcamp.errors import EvaluationJoinError, UndefinedMetric
 from negcamp.reliability import (
     ConfusionMatrix,
@@ -19,14 +19,12 @@ from negcamp.reliability import (
 )
 
 
-def pair_table(a, b):
-    gold = {f"i{k}": v for k, v in enumerate(a)}
-    pred = {f"i{k}": v for k, v in enumerate(b)}
-    return RatingTable.from_pair(gold, pred)
-
-
 def maps(a, b):
     return {f"i{k}": v for k, v in enumerate(a)}, {f"i{k}": v for k, v in enumerate(b)}
+
+
+def pair_table(a, b):
+    return two_rater_table(*maps(a, b))
 
 
 doc_ids = st.sampled_from([f"d{k}" for k in range(16)])
@@ -249,13 +247,6 @@ class TestGroupedReport:
         report = grouped_report(gold, pred, {d: "only" for d in gold})
         assert report.groups["only"] == report.pooled
 
-    def test_given_pooled_row_reused(self):
-        gold, pred = maps([0, 1, 1, 0], [0, 1, 0, 0])
-        by_first = grouped_report(gold, pred, {"i0": "a", "i1": "a", "i2": "b", "i3": "b"})
-        by_parity = grouped_report(gold, pred, {"i0": "x", "i1": "y", "i2": "x", "i3": "y"}, pooled=by_first.pooled)
-        assert by_parity.pooled is by_first.pooled
-        assert by_parity == grouped_report(gold, pred, {"i0": "x", "i1": "y", "i2": "x", "i3": "y"})
-
     def test_degenerate_group_flagged_in_row(self):
         gold, pred = maps([1, 1, 0, 1], [1, 1, 0, 0])
         groups = {"i0": "g1", "i1": "g1", "i2": "g2", "i3": "g2"}
@@ -314,3 +305,37 @@ class TestGroupedReport:
             assert row == compare({d: gold[d] for d in ids}, {d: pred[d] for d in ids})
         assert report.n_gold_only == len(gold.keys() - shared)
         assert report.n_predicted_only == len(pred.keys() - shared)
+
+    @given(
+        st.dictionaries(doc_ids, st.integers(0, 1), min_size=1),
+        st.dictionaries(doc_ids, st.integers(0, 1), min_size=1),
+        st.dictionaries(doc_ids, st.sampled_from(["g1", "g2", "g3"])),
+    )
+    @example({"d0": 1, "d1": 0, "d2": 1}, {"d0": 1, "d1": 1, "d3": 0}, {"d0": "g1", "d3": "g2"})
+    # every row degenerate: one item only, so alpha is undefined everywhere
+    @example({"d0": 0}, {"d0": 0}, {"d0": "g1"})
+    def test_equal_to_rating_table_oracle(self, gold, pred, groups):
+        if not gold.keys() & pred.keys():
+            with pytest.raises(EvaluationJoinError):
+                compare(gold, pred)
+            return
+        assert compare(gold, pred) == compare_via_table(gold, pred)
+        report = grouped_report(gold, pred, groups)
+        assert report == grouped_report_via_table(gold, pred, groups)
+        assert list(report.groups) == sorted(report.groups)
+
+
+class TestNonBinaryLabels:
+    @pytest.mark.parametrize("side", ["gold", "predicted"])
+    def test_label_of_two_raises(self, side):
+        gold, pred = maps([0, 1, 1, 0], [0, 1, 0, 0])
+        (gold if side == "gold" else pred)["i2"] = 2
+        with pytest.raises(ValueError, match="'i2'"):
+            compare(gold, pred)
+        with pytest.raises(ValueError, match="'i2'"):
+            grouped_report(gold, pred, {"i2": "g"})
+
+    def test_label_outside_intersection_ignored(self):
+        gold, pred = maps([0, 1, 1, 0], [0, 1, 0, 0])
+        gold["gold_only"] = 2
+        assert compare(gold, pred) == compare(*maps([0, 1, 1, 0], [0, 1, 0, 0]))
