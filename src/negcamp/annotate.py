@@ -16,10 +16,11 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from datetime import timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
 
-from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render
+from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render_system, render_user
 from .errors import AuthenticationError, ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
 from .ingest import Corpus, Document
 
@@ -305,14 +306,28 @@ class AnnotationResult:
         )
 
 
+def annotation_line(result: AnnotationResult) -> str:
+    """``json.dumps(result.to_record(), sort_keys=True, ensure_ascii=False)``
+    plus a newline, from a fixed template in sorted key order: the one line
+    encoding of ``cache.jsonl`` and ``annotations.jsonl``."""
+    return (
+        f'{{"doc_id": {encode_basestring(result.doc_id)}, "input_tokens": {result.input_tokens}, '
+        f'"label": {result.label}, "model_id": {encode_basestring(result.model_id)}, '
+        f'"output_tokens": {result.output_tokens}, "prompt_hash": {encode_basestring(result.prompt_hash)}, '
+        f'"raw_response": {encode_basestring(result.raw_response)}}}\n'
+    )
+
+
 class AnnotationCache:
     """Append-only JSONL cache keyed by (prompt_hash, doc_id).
 
-    Each entry is one line. Loading cuts off a torn final line left by a
-    crash, so the next append starts a fresh line and a crash never corrupts
-    stored entries or ones written after it. Reads are lock-free after load;
-    writes are serialized through one append handle, opened on the first
-    ``put`` and flushed after every line. ``close`` releases it.
+    Each entry is one ``annotation_line``. Loading skips an entry whose label
+    is not ``parse_label(raw_response)`` as unreadable, and cuts off a torn
+    final line left by a crash, so the next append starts a fresh line and a
+    crash never corrupts stored entries or ones written after it. Reads are
+    lock-free after load; writes are serialized through one append handle,
+    opened on the first ``put`` and flushed after every line. ``close``
+    releases it.
     """
 
     def __init__(self, path: str | Path):
@@ -332,9 +347,10 @@ class AnnotationCache:
                     break
                 complete += len(line)
                 try:
-                    record = json.loads(line)
-                    result = AnnotationResult.from_record(record)
-                except (ValueError, KeyError):
+                    result = AnnotationResult.from_record(json.loads(line), from_cache=True)
+                    if result.label != parse_label(result.raw_response):
+                        raise ValueError("label disagrees with raw_response")
+                except (ValueError, KeyError, TypeError, MalformedResponse):
                     logger.warning("cache %s: skipping unreadable entry", self.path.name)
                     continue
                 self._entries[(result.prompt_hash, result.doc_id)] = result
@@ -347,15 +363,12 @@ class AnnotationCache:
 
     def get(self, prompt_hash: str, doc_id: str) -> AnnotationResult | None:
         result = self._entries.get((prompt_hash, doc_id))
-        if result is None:
-            return None
+        if result is None or result.from_cache:  # loaded entries are stored as hits
+            return result
         return replace(result, from_cache=True)
 
     def put(self, result: AnnotationResult) -> None:
-        record = result.to_record()
-        line = json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
-        if result.from_cache:
-            result = replace(result, from_cache=False)
+        line = annotation_line(result)
         with self._lock:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -378,7 +391,7 @@ class AnnotationCache:
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with tmp.open("w", encoding="utf-8") as fh:
                 for key in sorted(self._entries):
-                    fh.write(json.dumps(self._entries[key].to_record(), sort_keys=True, ensure_ascii=False) + "\n")
+                    fh.write(annotation_line(self._entries[key]))
             os.replace(tmp, self.path)
 
 
@@ -529,10 +542,10 @@ def annotate_batch(
     """Label every document in the corpus.
 
     Up to ``concurrency_limit`` worker threads each take the next document
-    in id order under one lock, then render and classify it; the calling
-    thread waits for them. Each document yields exactly one result or one
-    recorded failure; both are sorted by document id, so output is the same
-    for any limit. Any other exception in a worker, or an interrupt in the
+    in id order under one lock, then render it (the system text once per
+    distinct context) and classify it; the calling thread waits for them.
+    Each document yields exactly one result or one recorded failure; both
+    are sorted by document id, so output is the same for any limit. Any other exception in a worker, or an interrupt in the
     calling thread, stops dispatch: no worker takes another document, and
     the first such exception is re-raised once the in-flight calls return.
     """
@@ -542,6 +555,7 @@ def annotate_batch(
         context_builder = default_context_descriptor
 
     pending = iter(corpus)
+    systems: dict[str | None, tuple] = {}  # render_system by context; racing workers store equal values
     take = threading.Lock()
     entered = threading.Semaphore(0)  # released once by each worker as it starts
     results: list[AnnotationResult] = []
@@ -559,7 +573,10 @@ def annotate_batch(
                 if doc is None:
                     return
                 context = context_builder(doc) if context_builder is not None else None
-                prompt = render(codebook, variant, doc, context=context, model_id=config.model_id)
+                system = systems.get(context)
+                if system is None:
+                    system = systems[context] = render_system(codebook, variant, context)
+                prompt = render_user(system, variant, doc, context, config.model_id)
                 try:
                     results.append(classify_one(transport, config, prompt, doc.id, cache=cache, retry=retry))
                 except TransportFailure as exc:
@@ -609,7 +626,7 @@ def estimate_cost(
 def write_annotations(path: str | Path, results: Iterable[AnnotationResult]) -> None:
     """Write results as JSONL sorted by doc id (UTF-8, LF)."""
     rows = sorted(results, key=lambda r: r.doc_id)
-    payload = "".join(json.dumps(r.to_record(), sort_keys=True, ensure_ascii=False) + "\n" for r in rows)
+    payload = "".join(map(annotation_line, rows))
     Path(path).write_text(payload, encoding="utf-8", newline="\n")
 
 

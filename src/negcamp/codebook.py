@@ -115,7 +115,15 @@ def render(
     context: str | None = None,
     model_id: str = "",
 ) -> RenderedPrompt:
-    """Render the prompt for one document. Pure and deterministic.
+    """Render the prompt for one document: ``render_system``, then
+    ``render_user``. Pure and deterministic; its ``prompt_hash`` equals
+    ``prompt_digest(system_text, user_text, model_id)``."""
+    return render_user(render_system(codebook, variant, context), variant, doc, context, model_id)
+
+
+def render_system(codebook: Codebook, variant: PromptVariant, context: str | None = None) -> tuple[str, hashlib._Hash]:
+    """The system text shared by every document with this context, and a
+    ``prompt_digest`` state that has absorbed it, for ``render_user``.
 
     Context-requiring variants place the author/party descriptor in the
     system text; the SYSTEM_USER level additionally prefixes it to the user
@@ -135,16 +143,21 @@ def render(
         parts.append(f"Context: {context}")
     parts.append(codebook.output_instruction)
     system_text = "\n\n".join(parts)
+    data = system_text.encode("utf-8")
+    return system_text, hashlib.blake2b(len(data).to_bytes(8, "big") + data, digest_size=8)
 
+
+def render_user(
+    system: tuple[str, hashlib._Hash], variant: PromptVariant, doc: Document, context: str | None, model_id: str
+) -> RenderedPrompt:
+    """The prompt for one document, from the ``render_system`` result for its context."""
+    system_text, h = system[0], system[1].copy()
     user_text = f"Message:\n{doc.text}"
     if variant.context_level is ContextLevel.SYSTEM_USER:
         user_text = f"Context: {context}\n{user_text}"
-
-    return RenderedPrompt(
-        system_text=system_text,
-        user_text=user_text,
-        prompt_hash=prompt_digest(system_text, user_text, model_id),
-    )
+    for data in (user_text.encode("utf-8"), model_id.encode("utf-8")):
+        h.update(len(data).to_bytes(8, "big") + data)
+    return RenderedPrompt(system_text=system_text, user_text=user_text, prompt_hash=h.hexdigest())
 
 
 def default_context_descriptor(doc: Document) -> str:

@@ -72,18 +72,13 @@ class Rejection:
 
 
 class Corpus:
-    """Immutable document collection, iterated in id order, with ``by_id``
-    mapping each unique id to its document."""
+    """Immutable collection of documents with unique ids, iterated in id order."""
 
     def __init__(self, documents: Iterable[Document]):
-        docs = sorted(documents, key=lambda d: d.id)
-        by_id: dict[str, Document] = {}
-        for doc in docs:
-            if doc.id in by_id:
-                raise IngestError(f"duplicate document id {doc.id!r} in corpus")
-            by_id[doc.id] = doc
-        self._documents: tuple[Document, ...] = tuple(docs)
-        self.by_id: Mapping[str, Document] = by_id
+        self._documents: tuple[Document, ...] = tuple(sorted(documents, key=lambda d: d.id))
+        for before, after in pairwise(self._documents):
+            if before.id == after.id:
+                raise IngestError(f"duplicate document id {after.id!r} in corpus")
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)

@@ -7,6 +7,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -14,8 +15,10 @@ import requests
 from hypothesis import given, strategies as st
 
 from helpers import StubResponse, StubSession, completion, make_corpus, make_doc
+import negcamp.annotate
 from negcamp.annotate import (
     AnnotationCache,
+    AnnotationResult,
     HttpTransport,
     MOCK_RETRY,
     MockTransport,
@@ -23,6 +26,7 @@ from negcamp.annotate import (
     RetryPolicy,
     TransportReply,
     annotate_batch,
+    annotation_line,
     classify_one,
     estimate_cost,
     parse_label,
@@ -30,7 +34,7 @@ from negcamp.annotate import (
     read_labels,
     write_annotations,
 )
-from negcamp.codebook import PromptVariant, builtin_codebooks, render
+from negcamp.codebook import PromptVariant, builtin_codebooks, default_context_descriptor, render, render_system
 from negcamp.errors import (
     AuthenticationError,
     ConfigError,
@@ -237,6 +241,16 @@ class TestAnnotationCache:
         assert hit.from_cache is True
         assert hit.to_record() == result.to_record()
 
+    def test_hits_flagged_and_loaded_entries_not_copied(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        with closing(AnnotationCache(path)) as cache:
+            result = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
+            hit = cache.get(result.prompt_hash, "d1")
+        assert result.from_cache is False
+        assert hit == replace(result, from_cache=True)
+        reloaded = AnnotationCache(path)
+        assert reloaded.get(result.prompt_hash, "d1") is reloaded.get(result.prompt_hash, "d1") == hit
+
     def test_torn_final_line_skipped(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         with closing(AnnotationCache(path)) as cache:
@@ -334,6 +348,59 @@ class TestAnnotateBatch:
         assert runs[1].cache_hits == runs[2].cache_hits == 60
         records = [[r.to_record() for r in run.results] for run in runs]
         assert records[0] == records[1] == records[2]
+
+    @pytest.mark.parametrize("variant", ["system:adjusted", "system_user:original"])
+    @pytest.mark.parametrize("per_document", [True, False], ids=["context-per-document", "default-context"])
+    def test_equal_to_rendering_each_document(self, corpus, mock_map, variant, per_document):
+        variant = PromptVariant.parse(variant)
+        if per_document:
+            builder = lambda doc: f"Verfasser·in {doc.id}, Ελλάδα 🗳️"  # noqa: E731
+        else:
+            builder = default_context_descriptor
+        scripted = dict(mock_map, d005=["it depends", mock_map["d005"]])
+        batch = annotate_batch(
+            corpus, BOOK, variant, CONFIG, MockTransport(scripted), concurrency_limit=8, context_builder=builder,
+            retry=MOCK_RETRY,
+        )
+        transport = MockTransport(scripted)
+        expected = [
+            classify_one(transport, CONFIG, render(BOOK, variant, doc, builder(doc), CONFIG.model_id), doc.id,
+                         retry=MOCK_RETRY)
+            for doc in corpus
+        ]
+        assert batch.results == tuple(expected)
+
+    def test_system_texts_shared_under_thread_switching(self):
+        corpus = numbered_corpus(2000)
+        variant = PromptVariant.parse("system_user:original")
+        builder = lambda doc: f"author {int(doc.id[1:]) % 7}"  # noqa: E731
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = annotate_batch(
+                corpus, BOOK, variant, CONFIG, MockTransport({d.id: "1" for d in corpus}), concurrency_limit=16,
+                context_builder=builder, retry=MOCK_RETRY,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [render(BOOK, variant, doc, builder(doc), CONFIG.model_id).prompt_hash for doc in corpus]
+        assert [r.prompt_hash for r in batch.results] == expected
+
+    def test_system_text_rendered_once_per_context(self, corpus, mock_map, monkeypatch):
+        contexts = []
+
+        def counting(codebook, variant, context=None):
+            contexts.append(context)
+            return render_system(codebook, variant, context)
+
+        monkeypatch.setattr(negcamp.annotate, "render_system", counting)
+        for variant in ("no_context:original", "system:original"):
+            annotate_batch(corpus, BOOK, PromptVariant.parse(variant), CONFIG, MockTransport(mock_map),
+                           concurrency_limit=1, retry=MOCK_RETRY)
+        distinct = {default_context_descriptor(doc) for doc in corpus}
+        assert len(distinct) < len(corpus)
+        assert contexts[0] is None
+        assert sorted(contexts[1:]) == sorted(distinct)
 
     def test_completeness_with_missing_docs(self, corpus, mock_map):
         partial = {k: v for k, v in mock_map.items() if k not in {"d001", "d033", "d060"}}
@@ -554,6 +621,23 @@ def annotation_record(**overrides):
               "input_tokens": 40, "output_tokens": 1}
     record.update(overrides)
     return {k: v for k, v in record.items() if v is not ...}
+
+
+# Quotes, backslashes, control characters, line and paragraph separators,
+# astral-plane characters, and any other text.
+ESCAPE_PRONE = st.text(st.sampled_from('"\\/\x00\x08\x1f\x7f\x85\u2028\u2029\ufeff\U0001F5F3é') | st.characters())
+
+
+class TestAnnotationLine:
+    @given(
+        doc_id=ESCAPE_PRONE, label=st.integers(0, 1), raw_response=ESCAPE_PRONE, model_id=ESCAPE_PRONE,
+        prompt_hash=ESCAPE_PRONE, input_tokens=st.integers(0, 2**63), output_tokens=st.integers(0, 2**63),
+        from_cache=st.booleans(),
+    )
+    def test_equals_sorted_json_dumps(self, **fields):
+        result = AnnotationResult(**fields)
+        expected = json.dumps(result.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
+        assert annotation_line(result).encode("utf-8") == expected.encode("utf-8")
 
 
 class TestAnnotationIo:

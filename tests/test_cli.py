@@ -4,6 +4,7 @@ import pytest
 import requests
 
 from helpers import StubResponse, StubSession, synthetic_study_files
+from negcamp.annotate import MockTransport
 from negcamp.cli import main
 
 
@@ -75,6 +76,36 @@ class TestAnnotateCommand:
         assert annotate_fixture(data_dir, out) == 0
         second = {p.name: p.read_bytes() for p in out.iterdir()}
         assert first == second
+
+    def test_annotations_encoded_as_cache_lines(self, data_dir, tmp_path):
+        out = tmp_path / "out"
+        for _ in range(2):  # a cold run, then a re-run served from the cache
+            assert annotate_fixture(data_dir, out) == 0
+            cached = set((out / "cache.jsonl").read_bytes().splitlines(keepends=True))
+            lines = (out / "annotations.jsonl").read_bytes().splitlines(keepends=True)
+            assert len(lines) == 60
+            assert set(lines) <= cached
+
+    @pytest.mark.parametrize("label", [7, None])
+    def test_cached_label_checked_against_raw_response(self, data_dir, golden_dir, tmp_path, monkeypatch, caplog, label):
+        golden = (golden_dir / "annotations.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in golden.splitlines()]
+        assert records[0]["doc_id"] == "d001" and records[0]["raw_response"] == "0"
+        records[0]["label"] = label
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        calls = []
+        complete = MockTransport.complete
+
+        def recording(self, system_text, user_text, config, doc_id=""):
+            calls.append(doc_id)
+            return complete(self, system_text, user_text, config, doc_id=doc_id)
+
+        monkeypatch.setattr(MockTransport, "complete", recording)
+        assert annotate_fixture(data_dir, tmp_path / "out", extra=("--cache", cache)) == 0
+        assert calls == ["d001"]
+        assert (tmp_path / "out" / "annotations.jsonl").read_text(encoding="utf-8") == golden
+        assert "skipping unreadable entry" in caplog.text
 
     def test_no_api_key_without_mock(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NEGCAMP_API_KEY", raising=False)

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import make_doc
 from negcamp.codebook import (
@@ -10,6 +11,7 @@ from negcamp.codebook import (
     PromptVariant,
     builtin_codebooks,
     load_codebook,
+    prompt_digest,
     render,
     resolve_codebook,
 )
@@ -109,6 +111,18 @@ class TestRender:
         b = render(builtin_codebooks()["main_study"], NO_CONTEXT, doc, model_id="model-b")
         assert a.system_text == b.system_text
         assert a.prompt_hash != b.prompt_hash
+
+
+    @pytest.mark.parametrize(
+        "variant", [PromptVariant(c, v) for c in ContextLevel for v in CodebookVariant], ids=str
+    )
+    @given(text=st.text(), context=st.text(), model_id=st.text())
+    @example(text="Größenwahn! Ελλάδα 🗳️\u2028", context="Partei Ø — 政党", model_id="modèle-𝟒o")
+    def test_hash_is_prompt_digest_of_the_texts(self, variant, text, context, model_id):
+        if variant.context_level is ContextLevel.NO_CONTEXT:
+            context = None
+        prompt = render(builtin_codebooks()["strict"], variant, make_doc(text=text), context, model_id)
+        assert prompt.prompt_hash == prompt_digest(prompt.system_text, prompt.user_text, model_id)
 
 
 class TestCodebookValidation:

@@ -98,7 +98,7 @@ class TestIngestDocuments:
         )
         result = ingest_documents(path, fmt="csv")
         assert len(result.corpus) == 2
-        assert result.corpus.by_id["d2"].is_retweet is True
+        assert [d.is_retweet for d in result.corpus] == [False, True]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -114,7 +114,8 @@ class TestIngestDocuments:
         assert ids == sorted(ids)
 
     def test_index_partition(self, corpus):
-        assert set(corpus.by_id) == {d.id for d in corpus}
+        ids = [d.id for d in corpus]
+        assert len(set(ids)) == len(ids) == len(corpus)
 
 
 # One record per rejection reason, after a valid d1 (line 1) and before a
