@@ -163,16 +163,17 @@ class HttpTransport:
         try:
             data = response.json()
             text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError):
-            text = None
-        if not isinstance(text, str):  # a refusal or content filter may answer null
+            usage = data.get("usage") or {}
+            reply = TransportReply(
+                text=text,
+                input_tokens=int(usage.get("prompt_tokens", 0)),
+                output_tokens=int(usage.get("completion_tokens", 0)),
+            )
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError):  # AttributeError: a usage not an object
+            reply = None
+        if reply is None or not isinstance(reply.text, str):  # a refusal or content filter may answer null
             raise TransportError("unparseable completion payload", retryable=False)
-        usage = data.get("usage") or {}
-        return TransportReply(
-            text=text,
-            input_tokens=int(usage.get("prompt_tokens", 0)),
-            output_tokens=int(usage.get("completion_tokens", 0)),
-        )
+        return reply
 
 
 def _retry_after_s(header: str) -> float | None:
@@ -294,16 +295,22 @@ class AnnotationResult:
 
     @classmethod
     def from_record(cls, record: Mapping[str, object], from_cache: bool = False) -> "AnnotationResult":
-        return cls(
-            doc_id=str(record["doc_id"]),
-            label=int(record["label"]),  # type: ignore[arg-type]
-            raw_response=str(record["raw_response"]),
-            model_id=str(record["model_id"]),
-            prompt_hash=str(record["prompt_hash"]),
-            input_tokens=int(record["input_tokens"]),  # type: ignore[arg-type]
-            output_tokens=int(record["output_tokens"]),  # type: ignore[arg-type]
-            from_cache=from_cache,
-        )
+        return cls(*_record_fields(record), from_cache=from_cache)
+
+
+def _record_fields(record: Mapping[str, object]) -> tuple[str, int, str, str, str, int, int]:
+    """An annotation record's fields in ``AnnotationResult`` order. A missing
+    field raises KeyError; a non-integer label or token count ValueError or
+    TypeError."""
+    return (
+        str(record["doc_id"]),
+        int(record["label"]),  # type: ignore[arg-type]
+        str(record["raw_response"]),
+        str(record["model_id"]),
+        str(record["prompt_hash"]),
+        int(record["input_tokens"]),  # type: ignore[arg-type]
+        int(record["output_tokens"]),  # type: ignore[arg-type]
+    )
 
 
 def annotation_line(result: AnnotationResult) -> str:
@@ -641,16 +648,14 @@ def read_annotations(path: str | Path) -> list[AnnotationResult]:
 
 def read_labels(path: str | Path) -> dict[str, int]:
     """The ``doc_id -> label`` map of an annotations file, read without
-    building ``AnnotationResult`` objects. A missing field or a non-integer
-    label or token count raises as ``from_record`` does; so does a label not 0 or 1."""
+    building ``AnnotationResult`` objects. A malformed record raises as
+    ``from_record`` does; so does a label not 0 or 1."""
     labels: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
-                record = json.loads(line)
-                record["raw_response"], record["model_id"], record["prompt_hash"]  # a missing field raises KeyError
-                int(record["input_tokens"]), int(record["output_tokens"])
-                label = labels[str(record["doc_id"])] = int(record["label"])
+                doc_id, label = _record_fields(json.loads(line))[:2]
                 if label not in (0, 1):
-                    raise ValueError(f"label {label} of document {record['doc_id']!r} is not 0 or 1")
+                    raise ValueError(f"label {label} of document {doc_id!r} is not 0 or 1")
+                labels[doc_id] = label
     return labels

@@ -39,7 +39,7 @@ from .annotate import (
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Corpus, DocumentIndex, gold_label_map, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
+from .ingest import Corpus, gold_label_map, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import canonical_float, sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -155,15 +155,12 @@ def _input_entry(path: Path, **extra: object) -> dict[str, object]:
     return entry
 
 
-def _load_corpus(config: RunConfig, slim: bool = False) -> tuple[Corpus | DocumentIndex, int, Path]:
+def _load_corpus(config: RunConfig, slim: bool = False) -> tuple[Corpus, int, Path]:
     """The corpus as a ``DocumentIndex`` if ``slim``, else in full with its
     texts, which only ``annotate`` needs."""
     path = config.require("corpus")
-    if slim:
-        corpus, rejections = ingest_index(path, fmt=config.corpus_format)
-    else:
-        ingest = ingest_documents(path, fmt=config.corpus_format)
-        corpus, rejections = ingest.corpus, ingest.rejections
+    ingest = (ingest_index if slim else ingest_documents)(path, fmt=config.corpus_format)
+    rejections = ingest.rejections
     if rejections:
         lines = "".join(
             stable_json_dumps({"line": r.line, "reason": r.reason, "doc_id": r.doc_id}) + "\n"
@@ -171,7 +168,7 @@ def _load_corpus(config: RunConfig, slim: bool = False) -> tuple[Corpus | Docume
         )
         write_text(config.out / "rejections.jsonl", lines)
         logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
-    return corpus, len(rejections), path
+    return ingest.corpus, len(rejections), path
 
 
 def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
@@ -273,7 +270,7 @@ def _human_irr(gold_labels) -> dict[str, object] | None:
     return {
         "alpha_k": alpha,
         "kappa_bp": kappa,
-        "n_items": len(table.items),
+        "n_items": sum(table.patterns.values()),
         "n_raters": len(coders),
         "flags": flags,
     }

@@ -2,8 +2,10 @@
 
 Corpus records that fail validation are skipped and reported with their line
 number instead of aborting the run, so large ingestions stay resumable and
-auditable. Gold and party-metadata files are small curated inputs and raise
-on the first invalid row.
+auditable; that includes a record whose id, text, author or party is not
+valid UTF-8 (undecodable bytes, or a lone surrogate escape). Gold and
+party-metadata files are small curated inputs and raise on the first
+invalid row.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from datetime import datetime
 from itertools import pairwise
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
 from .errors import IngestError
@@ -30,9 +32,9 @@ GOLD_HEADER = ("doc_id", "coder_id", "label")
 PARTY_META_HEADER = ("party_id", "country", "lrgen", "govt", "antielite_salience", "family", "name")
 
 
-@dataclass(frozen=True)
-class Document:
-    """One political message. An empty ``party_id`` marks an independent."""
+class Document(NamedTuple):
+    """One political message, a row of its fields. An empty ``party_id``
+    marks an independent."""
 
     id: str
     text: str
@@ -72,32 +74,29 @@ class Rejection:
 
 
 class Corpus:
-    """Immutable collection of documents with unique ids, iterated in id order."""
+    """Immutable rows with unique ids in their first field, iterated in id
+    order: ``Document``s, or a ``DocumentIndex``'s slim rows."""
 
-    def __init__(self, documents: Iterable[Document]):
-        self._documents: tuple[Document, ...] = tuple(sorted(documents, key=lambda d: d.id))
-        for before, after in pairwise(self._documents):
-            if before.id == after.id:
-                raise IngestError(f"duplicate document id {after.id!r} in corpus")
+    def __init__(self, rows: Iterable[tuple]):
+        self._rows: tuple[tuple, ...] = tuple(sorted(rows))
+        for before, after in pairwise(self._rows):
+            if before[0] == after[0]:
+                raise IngestError(f"duplicate document id {after[0]!r} in corpus")
 
-    def __iter__(self) -> Iterator[Document]:
-        return iter(self._documents)
+    def __iter__(self) -> Iterator:
+        return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._documents)
+        return len(self._rows)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Corpus) and self._documents == other._documents
+        return type(other) is type(self) and self._rows == other._rows
 
     def __repr__(self) -> str:
-        return f"Corpus({len(self)} documents)"
+        return f"{type(self).__name__}({len(self)} documents)"
 
 
-#: One ``DocumentIndex`` row: (id, language, country, party_id, is_retweet).
-IndexRow = tuple[str, str, str, str, bool]
-
-
-class DocumentIndex:
+class DocumentIndex(Corpus):
     """What ``evaluate`` and ``study`` read of a corpus: id-sorted rows of
     (id, language, country, party_id, is_retweet), without the text.
 
@@ -106,29 +105,15 @@ class DocumentIndex:
     ``detect_retweet``'s rule.
     """
 
-    def __init__(self, rows: Iterable[IndexRow]):
-        self._rows: tuple[IndexRow, ...] = tuple(sorted(rows))
-        for before, after in pairwise(self._rows):
-            if before[0] == after[0]:
-                raise IngestError(f"duplicate document id {after[0]!r} in corpus")
-
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "DocumentIndex":
         return cls((d.id, intern(d.language), intern(d.country), intern(d.party_id), detect_retweet(d)) for d in documents)
 
-    def __iter__(self) -> Iterator[IndexRow]:
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, DocumentIndex) and self._rows == other._rows
-
 
 @dataclass(frozen=True)
 class DocumentIngest:
-    """Result of a corpus ingestion: the valid documents plus the skip report."""
+    """Result of a corpus ingestion: the valid records, as ``Document``s or
+    ``DocumentIndex`` rows, plus the skip report."""
 
     corpus: Corpus
     rejections: tuple[Rejection, ...] = field(default=())
@@ -180,13 +165,24 @@ def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str
         retweet = retweet.lower() == "true"
     elif not isinstance(retweet, bool):
         raise ValueError(f"invalid retweet flag {retweet!r}")
-    return str(record["id"]), text, lang, country, str(record["author"]), str(record["party"]), created_at, retweet
+    doc_id, author, party = str(record["id"]), str(record["author"]), str(record["party"])
+    # An ASCII string holds no surrogate, and isascii reads a flag: only a non-ASCII record is encoded.
+    if not (doc_id.isascii() and text.isascii() and author.isascii() and party.isascii()):
+        try:
+            (doc_id + text + author + party).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            offset = exc.start  # into the concatenation: find the field it falls in
+            for name, value in (("id", doc_id), ("text", text), ("author", author), ("party", party)):
+                if offset < len(value):
+                    raise ValueError(f"invalid {name}: a lone surrogate or bytes that are not UTF-8") from None
+                offset -= len(value)
+    return doc_id, text, lang, country, author, party, created_at, retweet
 
 
 def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object] | None, str]]:
     """Yield (line_number, record_or_None, error_reason) triples."""
     if fmt == "jsonl":
-        with path.open(encoding="utf-8") as fh:
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     yield lineno, None, "blank line"
@@ -201,7 +197,7 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
                     continue
                 yield lineno, record, ""
     elif fmt == "csv":
-        with path.open(encoding="utf-8", newline="") as fh:
+        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.DictReader(fh)
             for lineno, row in enumerate(reader, start=2):
                 yield lineno, row, ""
@@ -223,7 +219,8 @@ def _valid_records(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
         try:
             fields = _parse_record(record)
         except ValueError as exc:
-            rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=str(record.get("id", ""))))
+            doc_id = str(record.get("id", "")).encode("utf-8", "backslashreplace").decode("utf-8")
+            rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=doc_id))
             continue
         doc_id = fields[0]
         if doc_id in seen:
@@ -240,19 +237,19 @@ def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
     rejection report cites source line numbers for every skipped record.
     """
     rejections: list[Rejection] = []
-    corpus = Corpus([Document(*fields) for fields in _valid_records(path, fmt, rejections)])
+    corpus = Corpus(map(Document._make, _valid_records(path, fmt, rejections)))
     return DocumentIngest(corpus=corpus, rejections=tuple(rejections))
 
 
-def ingest_index(path: str | Path, fmt: str = "jsonl") -> tuple[DocumentIndex, tuple[Rejection, ...]]:
-    """Load a corpus file as a ``DocumentIndex``, validating and rejecting
-    records exactly as ``ingest_documents`` does."""
+def ingest_index(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
+    """Load a corpus file with a ``DocumentIndex`` as its corpus, validating
+    and rejecting records exactly as ``ingest_documents`` does."""
     rejections: list[Rejection] = []
     index = DocumentIndex(
         (doc_id, intern(lang), intern(country), intern(party), _is_retweet(text, retweet))
         for doc_id, text, lang, country, _, party, _, retweet in _valid_records(path, fmt, rejections)
     )
-    return index, tuple(rejections)
+    return DocumentIngest(corpus=index, rejections=tuple(rejections))
 
 
 def ingest_gold(path: str | Path) -> list[GoldLabel]:

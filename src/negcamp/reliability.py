@@ -15,60 +15,32 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping
 
 from .errors import EvaluationJoinError, UndefinedMetric
 
-REPORT_KEYS = ("acc", "f1_0", "f1_1", "f1_w", "f1_macro", "alpha_k", "kappa_bp", "supp_0", "supp_1", "n", "flags")
-
 
 @dataclass(frozen=True)
 class RatingTable:
-    """Items x raters matrix of binary labels; missing cells allowed.
+    """Binary ratings of items by raters, kept as ``patterns``: the number of
+    items per (n_0, n_1), how many 0 and 1 labels an item got."""
 
-    ``values`` maps ``(item_id, rater_id)`` to a 0/1 label. Every item must
-    have at least one filled cell.
-    """
-
-    items: tuple[str, ...]
-    raters: tuple[str, ...]
-    values: Mapping[tuple[str, str], int]
-
-    def __post_init__(self) -> None:
-        items, raters = set(self.items), set(self.raters)
-        filled: set[str] = set()
-        for (item, rater), label in self.values.items():
-            if label not in (0, 1):
-                raise ValueError(f"non-binary label {label!r} for ({item!r}, {rater!r})")
-            if item not in items or rater not in raters:
-                raise ValueError(f"cell ({item!r}, {rater!r}) outside the declared axes")
-            filled.add(item)
-        empty = [item for item in self.items if item not in filled]
-        if empty:
-            raise ValueError(f"items with no filled cell: {empty[:5]!r}")
+    patterns: Counter[tuple[int, int]]
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, str, int]]) -> "RatingTable":
-        """Build from (item, rater, label) triples; axes sorted for determinism."""
+        """Count (item, rater, label) triples; an identical repeat counts once."""
         values: dict[tuple[str, str], int] = {}
         for item, rater, label in records:
-            key = (item, rater)
-            if key in values and values[key] != label:
-                raise ValueError(f"conflicting labels for {key!r}")
-            values[key] = label
-        items = tuple(sorted({item for item, _ in values}))
-        raters = tuple(sorted({rater for _, rater in values}))
-        return cls(items=items, raters=raters, values=values)
-
-    @cached_property
-    def patterns(self) -> Counter[tuple[int, int]]:
-        """Number of items per (n_0, n_1): how many 0 and 1 labels an item got."""
+            if label not in (0, 1):
+                raise ValueError(f"non-binary label {label!r} for ({item!r}, {rater!r})")
+            if values.setdefault((item, rater), label) != label:
+                raise ValueError(f"conflicting labels for {(item, rater)!r}")
         counts: dict[str, list[int]] = {}
-        for (item, _), label in self.values.items():
+        for (item, _), label in values.items():
             counts.setdefault(item, [0, 0])[label] += 1
-        return Counter(map(tuple, counts.values()))
+        return cls(Counter(map(tuple, counts.values())))
 
 
 @dataclass(frozen=True)

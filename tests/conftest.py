@@ -27,7 +27,7 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def index():
-    return ingest_index(DATA / "corpus.jsonl")[0]
+    return ingest_index(DATA / "corpus.jsonl").corpus
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ enumerate value pairs directly instead of building a coincidence matrix,
 F1 numbers come from plain counting loops, the covariance oracles use
 explicit per-observation outer products with a pinv bread, the party and
 country aggregates build per-group document lists from a full ``Corpus``, and
-the two-rater battery goes through a ``RatingTable`` of 2N cells.
+the two-rater battery goes through a ``RatingTable`` of 2N records.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def compare_via_table(gold: Mapping[str, int], predicted: Mapping[str, int]) -> 
     and the confusion counts from a plain loop over the sorted shared ids."""
     table = two_rater_table(gold, predicted)  # raises on a label outside {0, 1}
     cells = {(g, p): 0 for g in (0, 1) for p in (0, 1)}
-    for doc_id in table.items:
+    for doc_id in gold.keys() & predicted.keys():
         cells[gold[doc_id], predicted[doc_id]] += 1
     cm = ConfusionMatrix(tp=cells[1, 1], fp=cells[0, 1], fn=cells[1, 0], tn=cells[0, 0])
     scores = f1_scores(cm)

@@ -504,6 +504,15 @@ class TestAnnotateBatch:
             annotate_batch(corpus, BOOK, VARIANT, CONFIG, mock_transport, concurrency_limit=0)
 
 
+# 200 replies whose token counts cannot be read: a payload error, like a missing content
+MALFORMED_USAGE = [
+    completion("1", prompt_tokens=None),
+    completion("1", prompt_tokens="many"),
+    StubResponse(200, {"choices": [{"message": {"content": "1"}}], "usage": [1]}),
+]
+MALFORMED_USAGE_IDS = ["null-token-count", "text-token-count", "usage-not-object"]
+
+
 class TestHttpTransport:
     def classify(self, session, sleeps):
         transport = HttpTransport(api_key="test-key", session=session)
@@ -529,8 +538,8 @@ class TestHttpTransport:
     @pytest.mark.parametrize(
         "reply",
         [StubResponse(400), StubResponse(404), StubResponse(422), StubResponse(200), completion(None),
-         requests.exceptions.InvalidURL("bad url")],
-        ids=["400", "404", "422", "no-json", "null-content", "invalid-url"],
+         requests.exceptions.InvalidURL("bad url"), *MALFORMED_USAGE],
+        ids=["400", "404", "422", "no-json", "null-content", "invalid-url", *MALFORMED_USAGE_IDS],
     )
     def test_permanent_failures_fail_on_first_response(self, reply):
         session, sleeps = StubSession(reply), []
@@ -589,6 +598,14 @@ class TestHttpTransport:
             assert session.adapters == adapters
             assert session.get_adapter("https://api.example/v1")._pool_maxsize == requests.adapters.DEFAULT_POOLSIZE
 
+    @pytest.mark.parametrize("reply", MALFORMED_USAGE, ids=MALFORMED_USAGE_IDS)
+    def test_malformed_usage_fails_each_document_as_transport(self, corpus, reply):
+        transport = HttpTransport(api_key="test-key", session=StubSession(reply))
+        batch = annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+        assert batch.results == ()
+        assert [(f.doc_id, f.kind) for f in batch.failures] == [(d.id, "transport") for d in corpus]
+        assert all(f.detail.endswith("after 1 attempts: unparseable completion payload") for f in batch.failures)
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_rejected_key_stops_the_batch(self, corpus, status):
         session = StubSession(StubResponse(status))
@@ -637,7 +654,7 @@ class TestAnnotationLine:
     def test_equals_sorted_json_dumps(self, **fields):
         result = AnnotationResult(**fields)
         expected = json.dumps(result.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
-        assert annotation_line(result).encode("utf-8") == expected.encode("utf-8")
+        assert annotation_line(result) == expected
 
 
 class TestAnnotationIo:
@@ -654,8 +671,13 @@ class TestAnnotationIo:
             (annotation_record(label="negative"), ValueError),
             (annotation_record(output_tokens="one"), ValueError),
             (annotation_record(input_tokens=None), TypeError),
+            (annotation_record(doc_id=...), KeyError),
+            (annotation_record(raw_response=...), KeyError),
+            (annotation_record(model_id=...), KeyError),
+            (annotation_record(output_tokens=...), KeyError),
         ],
-        ids=["no-prompt-hash", "no-label", "no-input-tokens", "label-not-int", "tokens-not-int", "tokens-null"],
+        ids=["no-prompt-hash", "no-label", "no-input-tokens", "label-not-int", "tokens-not-int", "tokens-null",
+             "no-doc-id", "no-raw-response", "no-model-id", "no-output-tokens"],
     )
     def test_label_reader_raises_like_from_record(self, tmp_path, record, error):
         path = tmp_path / "annotations.jsonl"

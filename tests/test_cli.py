@@ -107,6 +107,32 @@ class TestAnnotateCommand:
         assert (tmp_path / "out" / "annotations.jsonl").read_text(encoding="utf-8") == golden
         assert "skipping unreadable entry" in caplog.text
 
+    def test_records_not_utf8_rejected(self, data_dir, golden_dir, tmp_path):
+        # the fixture plus a lone surrogate escape in a text and undecodable bytes in an id
+        corpus = tmp_path / "corpus.jsonl"
+        first = json.loads((data_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        surrogate = json.dumps(dict(first, id="x1", text="bad \ud800 text")).encode()
+        undecodable = json.dumps(dict(first, id="x2")).encode().replace(b"x2", b"x\xff\xfe")
+        corpus.write_bytes((data_dir / "corpus.jsonl").read_bytes() + surrogate + b"\n" + undecodable + b"\n")
+        rejections = (
+            '{"doc_id": "x1", "line": 61, "reason": "invalid text: a lone surrogate or bytes that are not UTF-8"}\n'
+            '{"doc_id": "x\\\\udcff\\\\udcfe", "line": 62, "reason": "invalid id: a lone surrogate or bytes that are not UTF-8"}\n'
+        )
+        code = run(
+            "annotate", "--corpus", corpus, "--mock", data_dir / "mock_responses.jsonl", "--codebook", "main_study",
+            "--variant", "no_context:original", "--out", tmp_path / "annotate",
+        )
+        assert code == 0
+        assert (tmp_path / "annotate" / "rejections.jsonl").read_text(encoding="utf-8") == rejections
+        golden = (golden_dir / "annotations.jsonl").read_text(encoding="utf-8")
+        assert (tmp_path / "annotate" / "annotations.jsonl").read_text(encoding="utf-8") == golden
+        code = run(
+            "evaluate", "--corpus", corpus, "--gold", data_dir / "gold.csv",
+            "--annotations", golden_dir / "annotations.jsonl", "--out", tmp_path / "evaluate",
+        )
+        assert code == 0
+        assert (tmp_path / "evaluate" / "rejections.jsonl").read_text(encoding="utf-8") == rejections
+
     def test_no_api_key_without_mock(self, data_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("NEGCAMP_API_KEY", raising=False)
         code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--out", tmp_path)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,6 +119,54 @@ class TestIngestDocuments:
         assert len(set(ids)) == len(ids) == len(corpus)
 
 
+NOT_UTF8 = "a lone surrogate or bytes that are not UTF-8"
+CSV_HEADER = "id,text,lang,country,author,party,created_at,retweet"
+
+
+class TestNotUtf8:
+    """A record whose id, text, author or party cannot be written as UTF-8 is
+    rejected with its line, and its rejection stays writable."""
+
+    def assert_only_d2_rejected(self, path, fmt, line, field, doc_id):
+        for result in (ingest_documents(path, fmt=fmt), ingest_index(path, fmt=fmt)):
+            assert [row[0] for row in result.corpus] == ["d1", "d3"]
+            (rejection,) = result.rejections
+            assert (rejection.line, rejection.reason, rejection.doc_id) == (line, f"invalid {field}: {NOT_UTF8}", doc_id)
+            rejection.doc_id.encode("utf-8")
+
+    @pytest.mark.parametrize("field", ["id", "text", "author", "party"])
+    def test_lone_surrogate_escape(self, tmp_path, field):
+        path = tmp_path / "c.jsonl"
+        bad = record("d2", **{"text": "caf\u00e9", "author": "\u00f1", field: "bad \ud800 value"})  # other fields non-ASCII too
+        write_jsonl(path, [record("d1"), bad, record("d3")])
+        assert b'"bad \\ud800 value"' in path.read_bytes()  # written as a JSON escape
+        self.assert_only_d2_rejected(path, "jsonl", 2, field, "bad \\ud800 value" if field == "id" else "d2")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_undecodable_bytes(self, tmp_path, fmt, field):
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "jsonl":
+            lines = [json.dumps(record(d, **{field: "bad XX value"} if d == "d2" else {})) for d in ("d1", "d2", "d3")]
+        else:
+            lines = [CSV_HEADER] + [
+                f"{'bad XX value' if d == 'd2' and field == 'id' else d},"
+                f"{'bad XX value' if d == 'd2' and field == 'text' else 'hi'},en,GB,a1,p1,2020-01-01T00:00:00Z,false"
+                for d in ("d1", "d2", "d3")
+            ]
+        path.write_bytes("\n".join(lines).encode("utf-8").replace(b"XX", b"\xff\xfe") + b"\n")
+        doc_id = "bad \\udcff\\udcfe value" if field == "id" else "d2"
+        self.assert_only_d2_rejected(path, fmt, 2 if fmt == "jsonl" else 3, field, doc_id)
+
+    def test_non_ascii_and_surrogate_pairs_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("d1", text="caf\u00e9 \U0001F5F3", author="\u00f1"), record("d\u00e9", party="p\u2028")])
+        assert b"\\ud83d\\uddf3" in path.read_bytes()  # the astral character as an escaped surrogate pair
+        result = ingest_documents(path)
+        assert result.rejections == ()
+        assert [(d.id, d.text) for d in result.corpus] == [("d1", "caf\u00e9 \U0001F5F3"), ("d\u00e9", "a message")]
+
+
 # One record per rejection reason, after a valid d1 (line 1) and before a
 # valid d2 (last line), which is a retweet by its "RT @" prefix only.
 JSONL_LINES = [
@@ -163,11 +212,13 @@ class TestDocumentIndex:
         path = tmp_path / f"c.{fmt}"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         ingest = ingest_documents(path, fmt=fmt)
-        index, rejections = ingest_index(path, fmt=fmt)
+        result = ingest_index(path, fmt=fmt)
+        index, rejections = result.corpus, result.rejections
         assert rejections == ingest.rejections
         assert [r.reason.startswith(reason) for r, reason in zip(rejections, reasons)] == [True] * len(reasons)
         assert len(rejections) == len(reasons)
         assert index == DocumentIndex.from_documents(ingest.corpus)
+        assert Corpus(index) != index and index != Corpus(index)  # the same rows, but not the same class
         assert [row[0] for row in index] == ["d1", "d2"]
         assert [row[4] for row in index] == [False, True]
 
@@ -197,11 +248,11 @@ class TestDocumentIndex:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            index, rejections = ingest_index(path)
+            result = ingest_index(path)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(index) == n and rejections == ()
+        assert len(result.corpus) == n and result.rejections == ()
         assert kept / n <= 250, f"{kept / n:.0f} B per document"
 
 
@@ -240,9 +291,8 @@ class TestIngestGold:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         labels = ingest_gold(path)
         table = RatingTable.from_records((g.doc_id, g.coder_id, g.label) for g in labels)
-        assert len(table.items) == 150
-        assert len(table.raters) == 13
-        assert len(table.values) == 150 * 13
+        # 150 items, each labeled by all 13 coders: 7 zeros for an even item, 7 ones for an odd one
+        assert table.patterns == Counter({(7, 6): 75, (6, 7): 75})
 
     def test_gold_label_map_unanimous_and_conflicts(self):
         from negcamp.ingest import GoldLabel
