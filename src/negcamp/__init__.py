@@ -32,7 +32,7 @@ from .errors import (
     TransportFailure,
     UndefinedMetric,
 )
-from .ingest import Corpus, Document, DocumentIndex, GoldLabel, PartyMeta, detect_retweet, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
+from .ingest import Corpus, Document, GoldLabel, PartyMeta, detect_retweet, ingest_documents, ingest_gold, ingest_party_meta, iter_documents
 from .reliability import (
     ConfusionMatrix,
     RatingTable,
@@ -47,12 +47,14 @@ from .reliability import (
 from .study import (
     AggregationFilters,
     DesignMatrix,
+    DocumentCounts,
     ModelVariant,
     PartyAggregate,
     RegressionFit,
     aggregate_parties,
     build_design,
     cluster_robust_se,
+    count_documents,
     country_negativity,
     extremism,
     fit_model,

@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,7 +39,7 @@ from .annotate import (
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Corpus, gold_label_map, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
+from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import canonical_float, sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -47,6 +47,7 @@ from .study import (
     ModelVariant,
     aggregate_parties,
     build_design,
+    count_documents,
     country_negativity,
     fit_model,
     marginal_means_family,
@@ -155,20 +156,10 @@ def _input_entry(path: Path, **extra: object) -> dict[str, object]:
     return entry
 
 
-def _load_corpus(config: RunConfig, slim: bool = False) -> tuple[Corpus, int, Path]:
-    """The corpus as a ``DocumentIndex`` if ``slim``, else in full with its
-    texts, which only ``annotate`` needs."""
-    path = config.require("corpus")
-    ingest = (ingest_index if slim else ingest_documents)(path, fmt=config.corpus_format)
-    rejections = ingest.rejections
+def _write_rejections(config: RunConfig, rejections: Sequence[Rejection]) -> None:
     if rejections:
-        lines = "".join(
-            stable_json_dumps({"line": r.line, "reason": r.reason, "doc_id": r.doc_id}) + "\n"
-            for r in rejections
-        )
-        write_text(config.out / "rejections.jsonl", lines)
+        write_text(config.out / "rejections.jsonl", "".join(stable_json_dumps(asdict(r)) + "\n" for r in rejections))
         logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
-    return ingest.corpus, len(rejections), path
 
 
 def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
@@ -182,7 +173,10 @@ def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
 
 
 def cmd_annotate(config: RunConfig) -> int:
-    corpus, n_rejected, corpus_path = _load_corpus(config)
+    corpus_path = config.require("corpus")
+    ingest = ingest_documents(corpus_path, fmt=config.corpus_format)
+    _write_rejections(config, ingest.rejections)
+    corpus = ingest.corpus
     codebook = resolve_codebook(config.codebook)
     variant = PromptVariant.parse(config.variant)
     endpoint = os.environ.get(ENDPOINT_ENV) or None
@@ -228,7 +222,7 @@ def cmd_annotate(config: RunConfig) -> int:
         "codebook": {"name": codebook.name, "digest": codebook.digest()},
         "variant": str(variant),
         "failure_threshold": config.failure_threshold,
-        "inputs": {"corpus": _input_entry(corpus_path, n_documents=len(corpus), n_rejected=n_rejected)},
+        "inputs": {"corpus": _input_entry(corpus_path, n_documents=len(corpus), n_rejected=len(ingest.rejections))},
         "outputs": {
             "n_results": len(batch.results),
             "n_failures": len(batch.failures),
@@ -277,15 +271,21 @@ def _human_irr(gold_labels) -> dict[str, object] | None:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    index, _, corpus_path = _load_corpus(config, slim=True)
+    corpus_path = config.require("corpus")
     gold_path = config.require("gold")
     gold_labels = ingest_gold(gold_path)
     gold, n_conflicts = gold_label_map(gold_labels, coder=config.gold_coder)
     predicted, annotations_path = _load_labels(config)
 
-    gold_rows = [row for row in index if row[0] in gold]  # only gold documents can join
-    by_country = grouped_report(gold, predicted, {row[0]: row[2] for row in gold_rows})
-    by_language = grouped_report(gold, predicted, {row[0]: row[1] for row in gold_rows})
+    rejections: list[Rejection] = []
+    n_documents, countries, languages = 0, {}, {}
+    for doc in iter_documents(corpus_path, config.corpus_format, rejections):
+        n_documents += 1
+        if doc.id in gold:  # only gold documents can join
+            countries[doc.id], languages[doc.id] = doc.country, doc.language
+    _write_rejections(config, rejections)
+    by_country = grouped_report(gold, predicted, countries)
+    by_language = grouped_report(gold, predicted, languages)
     if by_country.n_gold_only:
         logger.warning("%d gold labels reference documents outside the predictions; kept, join is on the intersection", by_country.n_gold_only)
 
@@ -314,7 +314,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         "command": "evaluate",
         "config_digest": config.semantic_digest("evaluate"),
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=len(index)),
+            "corpus": _input_entry(corpus_path, n_documents=n_documents),
             "gold": _input_entry(gold_path, n_labels=len(gold_labels)),
             "annotations": _input_entry(annotations_path, n_labels=len(predicted)),
         },
@@ -337,21 +337,24 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def cmd_study(config: RunConfig) -> int:
-    index, _, corpus_path = _load_corpus(config, slim=True)
-    labels, annotations_path = _load_labels(config)
-    meta_path = config.require("party_meta")
-    party_meta = ingest_party_meta(meta_path)
+    corpus_path = config.require("corpus")
     try:
         variant = ModelVariant(config.model_variant)
     except ValueError:
         raise ConfigError(f"invalid model_variant {config.model_variant!r} (m1, m2, or family)") from None
-
     filters = AggregationFilters(
         exclude_retweets=not config.include_retweets,
         min_tweets=config.min_tweets,
         exclude_independents=not config.include_independents,
     )
-    aggregates = aggregate_parties(index, labels, party_meta, filters)
+    labels, annotations_path = _load_labels(config)
+    meta_path = config.require("party_meta")
+    party_meta = ingest_party_meta(meta_path)
+
+    rejections: list[Rejection] = []
+    counts = count_documents(iter_documents(corpus_path, config.corpus_format, rejections), labels)
+    _write_rejections(config, rejections)
+    aggregates = aggregate_parties(counts, party_meta, filters)
     write_text(
         config.out / "aggregates.csv",
         _csv_text(
@@ -360,7 +363,7 @@ def cmd_study(config: RunConfig) -> int:
         ),
     )
 
-    by_country = country_negativity(index, labels)
+    by_country = country_negativity(counts)
     write_text(
         config.out / "figure1_country.csv",
         _csv_text(
@@ -417,7 +420,7 @@ def cmd_study(config: RunConfig) -> int:
             "exclude_independents": filters.exclude_independents,
         },
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=len(index)),
+            "corpus": _input_entry(corpus_path, n_documents=counts.cells.total()),
             "annotations": _input_entry(annotations_path, n_labels=len(labels)),
             "party_meta": _input_entry(meta_path, n_parties=len(party_meta)),
         },
@@ -425,7 +428,7 @@ def cmd_study(config: RunConfig) -> int:
             "n_aggregates": len(aggregates),
             "n_missing_meta": len(flagged),
             "missing_meta_parties": flagged,
-            "n_unlabeled_documents": sum(1 for row in index if row[0] not in labels),
+            "n_unlabeled_documents": counts.n_unlabeled,
             "n_obs": fit.n_obs,
             "n_clusters": fit.n_clusters,
         },

@@ -1,4 +1,8 @@
-"""Loading and indexing of corpora, gold-standard labels, and party metadata.
+"""Loading of corpora, gold-standard labels, and party metadata.
+
+``iter_documents`` is the one corpus reader: it streams the valid, unique
+records as ``Document``s in file order, and ``ingest_documents`` collects
+them into an id-sorted ``Corpus``.
 
 Corpus records that fail validation are skipped and reported with their line
 number instead of aborting the run, so large ingestions stay resumable and
@@ -17,7 +21,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import pairwise
 from pathlib import Path
-from sys import intern
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
@@ -74,16 +77,15 @@ class Rejection:
 
 
 class Corpus:
-    """Immutable rows with unique ids in their first field, iterated in id
-    order: ``Document``s, or a ``DocumentIndex``'s slim rows."""
+    """Immutable ``Document``s with unique ids, iterated in id order."""
 
-    def __init__(self, rows: Iterable[tuple]):
-        self._rows: tuple[tuple, ...] = tuple(sorted(rows))
+    def __init__(self, rows: Iterable[Document]):
+        self._rows: tuple[Document, ...] = tuple(sorted(rows))
         for before, after in pairwise(self._rows):
             if before[0] == after[0]:
                 raise IngestError(f"duplicate document id {after[0]!r} in corpus")
 
-    def __iter__(self) -> Iterator:
+    def __iter__(self) -> Iterator[Document]:
         return iter(self._rows)
 
     def __len__(self) -> int:
@@ -96,24 +98,9 @@ class Corpus:
         return f"{type(self).__name__}({len(self)} documents)"
 
 
-class DocumentIndex(Corpus):
-    """What ``evaluate`` and ``study`` read of a corpus: id-sorted rows of
-    (id, language, country, party_id, is_retweet), without the text.
-
-    Language, country and party strings are interned, so every row shares
-    one copy of each, and ``is_retweet`` is already resolved by
-    ``detect_retweet``'s rule.
-    """
-
-    @classmethod
-    def from_documents(cls, documents: Iterable[Document]) -> "DocumentIndex":
-        return cls((d.id, intern(d.language), intern(d.country), intern(d.party_id), detect_retweet(d)) for d in documents)
-
-
 @dataclass(frozen=True)
 class DocumentIngest:
-    """Result of a corpus ingestion: the valid records, as ``Document``s or
-    ``DocumentIndex`` rows, plus the skip report."""
+    """Result of a corpus ingestion: the valid records plus the skip report."""
 
     corpus: Corpus
     rejections: tuple[Rejection, ...] = field(default=())
@@ -126,11 +113,7 @@ def detect_retweet(doc: Document) -> bool:
     whose source database did not mark retweets. Pure function of
     ``(text, is_retweet)``.
     """
-    return _is_retweet(doc.text, doc.is_retweet)
-
-
-def _is_retweet(text: str, flag: bool) -> bool:
-    return flag or text.lstrip().startswith("RT @")
+    return doc.is_retweet or doc.text.lstrip().startswith("RT @")
 
 
 def _validate_timestamp(value: str) -> None:
@@ -205,9 +188,12 @@ def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, obje
         raise IngestError(f"unsupported corpus format {fmt!r} (expected jsonl or csv)")
 
 
-def _valid_records(path: str | Path, fmt: str, rejections: list[Rejection]) -> Iterator[tuple]:
-    """Yield the fields of each valid, unique corpus record in file order,
-    appending a ``Rejection`` for every skipped one."""
+def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> Iterator[Document]:
+    """Yield each valid, unique corpus record as a ``Document`` in file
+    order, appending a ``Rejection`` for every skipped one.
+
+    Duplicate ids keep the first occurrence and reject the later one.
+    """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"corpus file not found: {path}")
@@ -227,29 +213,15 @@ def _valid_records(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
             rejections.append(Rejection(line=lineno, reason=f"duplicate id {doc_id!r}", doc_id=doc_id))
             continue
         seen.add(doc_id)
-        yield fields
+        yield Document._make(fields)
 
 
 def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
-    """Load a corpus file, skipping invalid records.
-
-    Duplicate ids keep the first occurrence and reject the later one. The
-    rejection report cites source line numbers for every skipped record.
-    """
+    """Load a corpus file into a ``Corpus``, skipping and reporting invalid
+    records as ``iter_documents`` does."""
     rejections: list[Rejection] = []
-    corpus = Corpus(map(Document._make, _valid_records(path, fmt, rejections)))
+    corpus = Corpus(iter_documents(path, fmt, rejections))
     return DocumentIngest(corpus=corpus, rejections=tuple(rejections))
-
-
-def ingest_index(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
-    """Load a corpus file with a ``DocumentIndex`` as its corpus, validating
-    and rejecting records exactly as ``ingest_documents`` does."""
-    rejections: list[Rejection] = []
-    index = DocumentIndex(
-        (doc_id, intern(lang), intern(country), intern(party), _is_retweet(text, retweet))
-        for doc_id, text, lang, country, _, party, _, retweet in _valid_records(path, fmt, rejections)
-    )
-    return DocumentIngest(corpus=index, rejections=tuple(rejections))
 
 
 def ingest_gold(path: str | Path) -> list[GoldLabel]:

@@ -1,6 +1,10 @@
-"""Party-level empirical pipeline: filtering, aggregation, predictor
-construction, fixed-effects OLS with country-clustered standard errors, and
-marginal means by party family.
+"""Party-level empirical pipeline: counting, filtering, aggregation,
+predictor construction, fixed-effects OLS with country-clustered standard
+errors, and marginal means by party family.
+
+``count_documents`` reduces the documents, streamed once in any order, to
+counts per (party, country, retweet, label), which ``aggregate_parties`` and
+``country_negativity`` read; no document is held.
 
 The regression is OLS on percentage outcomes (0-100) with country dummies.
 Clustered covariances use the CR1 small-sample factor (G/(G-1))*((N-1)/(N-k))
@@ -14,12 +18,13 @@ importing this module (and so the package and its CLI) stays cheap for
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DesignError, RankDeficient
-from .ingest import DocumentIndex, PartyMeta
+from .ingest import Document, PartyMeta, detect_retweet
 from .runio import canonical_float
 
 if TYPE_CHECKING:
@@ -76,9 +81,47 @@ class PartyAggregate:
     flags: tuple[str, ...] = field(default=())
 
 
+class DocumentCounts(NamedTuple):
+    """Documents per (party_id, country, is_retweet, label), label ``None``
+    if unlabeled, and each party's lowest labeled id with its country, which
+    is the party's country."""
+
+    cells: Counter[tuple[str, str, bool, int | None]]
+    party_countries: dict[str, tuple[str, str]]
+
+    @property
+    def n_unlabeled(self) -> int:
+        return sum(n for (_, _, _, label), n in self.cells.items() if label is None)
+
+
+def count_documents(documents: Iterable[Document], labels: Mapping[str, int]) -> DocumentCounts:
+    """Count documents, in any order, into a ``DocumentCounts`` table."""
+    cells: Counter[tuple[str, str, bool, int | None]] = Counter()
+    party_countries: dict[str, tuple[str, str]] = {}
+    for doc in documents:
+        label = labels.get(doc.id)
+        cells[doc.party_id, doc.country, detect_retweet(doc), label] += 1
+        if label is not None:
+            this = (doc.id, doc.country)
+            party_countries[doc.party_id] = min(party_countries.get(doc.party_id, this), this)
+    return DocumentCounts(cells, party_countries)
+
+
+def _tallies(counts: DocumentCounts, by_country: bool, split_retweets: bool) -> dict[str, list[int]]:
+    """[originals, negative originals, retweets, negative retweets] of the
+    labeled documents per party, or per country if ``by_country``."""
+    tallies: dict[str, list[int]] = {}
+    for (party_id, country, is_retweet, label), n in counts.cells.items():
+        tally = tallies.setdefault(country if by_country else party_id, [0, 0, 0, 0])
+        if label is not None:
+            slot = 2 if is_retweet and split_retweets else 0
+            tally[slot] += n
+            tally[slot + 1] += n * label
+    return tallies
+
+
 def aggregate_parties(
-    index: DocumentIndex,
-    labels: Mapping[str, int],
+    counts: DocumentCounts,
     party_meta: Mapping[str, PartyMeta],
     filters: AggregationFilters = AggregationFilters(),
 ) -> list[PartyAggregate]:
@@ -91,20 +134,9 @@ def aggregate_parties(
     builder excludes them. A party's country is that of its lowest-id
     labeled document.
     """
-    # party -> [country, originals, negative originals, retweets, negative retweets]
-    tallies: dict[str, list] = {}
-    for doc_id, _, country, party_id, is_retweet in index:
-        label = labels.get(doc_id)
-        if label is None:
-            continue
-        tally = tallies.get(party_id)
-        if tally is None:
-            tally = tallies[party_id] = [country, 0, 0, 0, 0]
-        slot = 3 if is_retweet and filters.exclude_retweets else 1
-        tally[slot] += 1
-        tally[slot + 1] += label
     aggregates = []
-    for party_id, (country, n_original, n_negative, n_retweets, n_negative_retweets) in tallies.items():
+    tallies = _tallies(counts, by_country=False, split_retweets=filters.exclude_retweets)
+    for party_id, (n_original, n_negative, n_retweets, n_negative_retweets) in tallies.items():
         if filters.exclude_independents and party_id == "":
             continue
         if n_original + n_retweets < filters.min_tweets or not n_original:
@@ -112,7 +144,7 @@ def aggregate_parties(
         aggregates.append(
             PartyAggregate(
                 party_id=party_id,
-                country=country,
+                country=counts.party_countries[party_id][1],
                 n_total=n_original + n_retweets,
                 n_original=n_original,
                 n_negative_original=n_negative,
@@ -487,19 +519,9 @@ class CountryNegativity:
     pct_retweet: float | None
 
 
-def country_negativity(index: DocumentIndex, labels: Mapping[str, int]) -> list[CountryNegativity]:
+def country_negativity(counts: DocumentCounts) -> list[CountryNegativity]:
     """Message-level negativity percentages per country, no party filters."""
-    # country -> [originals, negative originals, retweets, negative retweets]
-    tallies: dict[str, list[int]] = {}
-    for doc_id, _, country, _, is_retweet in index:
-        tally = tallies.get(country)
-        if tally is None:
-            tally = tallies[country] = [0, 0, 0, 0]
-        label = labels.get(doc_id)
-        if label is not None:
-            slot = 2 if is_retweet else 0
-            tally[slot] += 1
-            tally[slot + 1] += label
+    tallies = _tallies(counts, by_country=True, split_retweets=True)
     return [
         CountryNegativity(
             country=country,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from negcamp.annotate import MockTransport
-from negcamp.ingest import gold_label_map, ingest_documents, ingest_gold, ingest_index, ingest_party_meta
+from negcamp.ingest import gold_label_map, ingest_documents, ingest_gold, ingest_party_meta
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -23,11 +23,6 @@ def golden_dir() -> Path:
 @pytest.fixture(scope="session")
 def corpus():
     return ingest_documents(DATA / "corpus.jsonl").corpus
-
-
-@pytest.fixture(scope="session")
-def index():
-    return ingest_index(DATA / "corpus.jsonl").corpus
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 
-from negcamp.ingest import Corpus, Document, DocumentIndex, PartyMeta
+from negcamp.ingest import Corpus, Document, PartyMeta
 from negcamp.study import PartyAggregate, extremism
 
 STUDY_COUNTRIES = (
@@ -47,10 +47,6 @@ def make_doc(
 
 def make_corpus(docs) -> Corpus:
     return Corpus(docs)
-
-
-def make_index(docs) -> DocumentIndex:
-    return DocumentIndex.from_documents(docs)
 
 
 def synthetic_study(seed: int, n_parties: int = 151, family_offsets: dict[str, float] | None = None):

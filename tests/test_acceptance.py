@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import make_doc, make_index, synthetic_study
+from helpers import make_doc, synthetic_study
 from oracles import alpha_brute, f1_brute, hc0_cov, kappa_bp_brute, two_rater_table, within_demeaned_beta
 from negcamp.annotate import MOCK_RETRY, MockTransport, ModelConfig, annotate_batch, estimate_cost, read_annotations
 from negcamp.cli import main
@@ -34,6 +34,7 @@ from negcamp.study import (
     aggregate_parties,
     build_design,
     cluster_robust_se,
+    count_documents,
     fit_model,
     fit_ols,
     marginal_means_family,
@@ -284,25 +285,25 @@ def _party_corpus(sizes):
             doc_id = f"{party}_{i:04d}"
             docs.append(make_doc(doc_id=doc_id, party=party, country="GB"))
             labels[doc_id] = i % 2
-    return make_index(docs), labels
+    return count_documents(docs, labels)
 
 
 def test_criterion_7_filter_contract():
     metas = {p: PartyMeta(p, "GB", 5.0, 0, 2.0, "socialist", p) for p in ("tiny", "edge", "big")}
-    index, labels = _party_corpus({"tiny": 37, "edge": 499, "big": 500})
-    at_500 = {a.party_id for a in aggregate_parties(index, labels, metas, Filters(min_tweets=500))}
+    counts = _party_corpus({"tiny": 37, "edge": 499, "big": 500})
+    at_500 = {a.party_id for a in aggregate_parties(counts, metas, Filters(min_tweets=500))}
     ok = at_500 == {"big"}  # 499 excluded, 500 included
-    at_499 = {a.party_id for a in aggregate_parties(index, labels, metas, Filters(min_tweets=499))}
+    at_499 = {a.party_id for a in aggregate_parties(counts, metas, Filters(min_tweets=499))}
     ok &= at_499 == {"edge", "big"}
 
     rng = random.Random(7)
     for _ in range(25):
         sizes = {f"p{j}": rng.randint(0, 40) for j in range(6)}
-        index, labels = _party_corpus({p: s for p, s in sizes.items() if s})
+        counts = _party_corpus({p: s for p, s in sizes.items() if s})
         metas = {p: PartyMeta(p, "GB", 5.0, 0, 2.0, "socialist", p) for p in sizes}
         thresholds = sorted(rng.randint(0, 45) for _ in range(3))
         surviving = [
-            {a.party_id for a in aggregate_parties(index, labels, metas, Filters(min_tweets=t))}
+            {a.party_id for a in aggregate_parties(counts, metas, Filters(min_tweets=t))}
             for t in thresholds
         ]
         ok &= surviving[2] <= surviving[1] <= surviving[0]

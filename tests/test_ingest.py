@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,13 +8,12 @@ from helpers import make_doc
 from negcamp.errors import IngestError
 from negcamp.ingest import (
     Corpus,
-    DocumentIndex,
     detect_retweet,
     gold_label_map,
     ingest_documents,
     ingest_gold,
-    ingest_index,
     ingest_party_meta,
+    iter_documents,
 )
 from negcamp.reliability import RatingTable
 
@@ -128,11 +126,11 @@ class TestNotUtf8:
     rejected with its line, and its rejection stays writable."""
 
     def assert_only_d2_rejected(self, path, fmt, line, field, doc_id):
-        for result in (ingest_documents(path, fmt=fmt), ingest_index(path, fmt=fmt)):
-            assert [row[0] for row in result.corpus] == ["d1", "d3"]
-            (rejection,) = result.rejections
-            assert (rejection.line, rejection.reason, rejection.doc_id) == (line, f"invalid {field}: {NOT_UTF8}", doc_id)
-            rejection.doc_id.encode("utf-8")
+        result = ingest_documents(path, fmt=fmt)
+        assert [doc.id for doc in result.corpus] == ["d1", "d3"]
+        (rejection,) = result.rejections
+        assert (rejection.line, rejection.reason, rejection.doc_id) == (line, f"invalid {field}: {NOT_UTF8}", doc_id)
+        rejection.doc_id.encode("utf-8")
 
     @pytest.mark.parametrize("field", ["id", "text", "author", "party"])
     def test_lone_surrogate_escape(self, tmp_path, field):
@@ -206,54 +204,28 @@ CSV_REASONS = [
 ]
 
 
-class TestDocumentIndex:
+class TestIterDocuments:
     @pytest.mark.parametrize("fmt, lines, reasons", [("jsonl", JSONL_LINES, JSONL_REASONS), ("csv", CSV_LINES, CSV_REASONS)])
     def test_same_rejections_and_rows_as_corpus(self, tmp_path, fmt, lines, reasons):
         path = tmp_path / f"c.{fmt}"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         ingest = ingest_documents(path, fmt=fmt)
-        result = ingest_index(path, fmt=fmt)
-        index, rejections = result.corpus, result.rejections
-        assert rejections == ingest.rejections
+        rejections = []
+        documents = list(iter_documents(path, fmt, rejections))
+        assert tuple(rejections) == ingest.rejections
         assert [r.reason.startswith(reason) for r, reason in zip(rejections, reasons)] == [True] * len(reasons)
         assert len(rejections) == len(reasons)
-        assert index == DocumentIndex.from_documents(ingest.corpus)
-        assert Corpus(index) != index and index != Corpus(index)  # the same rows, but not the same class
-        assert [row[0] for row in index] == ["d1", "d2"]
-        assert [row[4] for row in index] == [False, True]
+        assert Corpus(documents) == ingest.corpus
+        assert [doc.id for doc in documents] == ["d1", "d2"]
+        assert [detect_retweet(doc) for doc in documents] == [False, True]
 
-    def test_rows_resolve_retweets_and_share_strings(self, corpus, index):
-        assert len(index) == len(corpus)
-        for doc, (doc_id, language, country, party_id, is_retweet) in zip(corpus, index):
-            assert (doc_id, language, country, party_id) == (doc.id, doc.language, doc.country, doc.party_id)
-            assert is_retweet is detect_retweet(doc)
-        by_country = {}
-        for row in index:
-            assert by_country.setdefault(row[2], row[2]) is row[2]
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(IngestError):
-            DocumentIndex.from_documents([make_doc(doc_id="d1"), make_doc(doc_id="d1", country="DE")])
-
-    def test_memory_per_document(self, tmp_path):
-        # A Corpus keeps about 734 B per document; the index must stay lean.
-        n = 20_000
+    def test_file_order_and_first_of_duplicates(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        countries = (("en", "GB"), ("de", "DE"), ("es", "ES"))
-        write_jsonl(path, [
-            record(f"d{i:07d}", text=f"message {i} about the campaign, with some words", lang=countries[i % 3][0],
-                   country=countries[i % 3][1], party=f"p{i % 151:03d}", author=f"a{i % 997}", retweet=i % 7 == 0)
-            for i in range(n)
-        ])
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = ingest_index(path)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(result.corpus) == n and result.rejections == ()
-        assert kept / n <= 250, f"{kept / n:.0f} B per document"
+        write_jsonl(path, [record("d3"), record("d1", country="DE"), record("d2"), record("d1")])
+        rejections = []
+        documents = list(iter_documents(path, "jsonl", rejections))
+        assert [(doc.id, doc.country) for doc in documents] == [("d3", "GB"), ("d1", "DE"), ("d2", "GB")]
+        assert [(r.line, r.doc_id) for r in rejections] == [(4, "d1")]
 
 
 class TestIngestGold:

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import make_corpus, make_doc, make_index, synthetic_study
+from helpers import make_corpus, make_doc, synthetic_study
 from oracles import aggregate_parties_lists, classical_cov, country_negativity_lists, hc0_cov, within_demeaned_beta
 from negcamp.errors import DesignError, RankDeficient
 from negcamp.ingest import PartyMeta
@@ -19,6 +21,7 @@ from negcamp.study import (
     aggregate_parties,
     build_design,
     cluster_robust_se,
+    count_documents,
     country_negativity,
     extremism,
     fit_model,
@@ -89,7 +92,7 @@ class TestAggregateParties:
 
     def test_hand_count(self):
         docs, labels = self.party_docs(n=6, retweets=1, negatives=(0, 1))
-        aggs = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
         assert len(aggs) == 1
         agg = aggs[0]
         assert agg.n_total == 6
@@ -101,37 +104,36 @@ class TestAggregateParties:
     def test_min_tweets_boundary(self):
         docs_a, labels_a = self.party_docs(party="small", n=499, retweets=0, negatives=())
         docs_b, labels_b = self.party_docs(party="large", n=500, retweets=0, negatives=())
-        index = make_index(docs_a + docs_b)
-        labels = {**labels_a, **labels_b}
+        counts = count_documents(docs_a + docs_b, {**labels_a, **labels_b})
         metas = {"small": meta("small"), "large": meta("large")}
-        aggs = aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=500))
+        aggs = aggregate_parties(counts, metas, AggregationFilters(min_tweets=500))
         assert [a.party_id for a in aggs] == ["large"]
 
     def test_independents_excluded(self):
         docs, labels = self.party_docs(party="", n=4, retweets=0, negatives=(0,))
-        aggs = aggregate_parties(make_index(docs), labels, {}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(docs, labels), {}, AggregationFilters(min_tweets=0))
         assert aggs == []
         with_ind = aggregate_parties(
-            make_index(docs), labels, {}, AggregationFilters(min_tweets=0, exclude_independents=False)
+            count_documents(docs, labels), {}, AggregationFilters(min_tweets=0, exclude_independents=False)
         )
         assert len(with_ind) == 1
 
     def test_retweet_split_disabled(self):
         docs, labels = self.party_docs(n=6, retweets=2, negatives=(0,))
         filters = AggregationFilters(min_tweets=0, exclude_retweets=False)
-        agg = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, filters)[0]
+        agg = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, filters)[0]
         assert agg.n_original == agg.n_total == 6
         assert agg.pct_negative_retweets is None
 
     def test_missing_meta_flagged(self):
         docs, labels = self.party_docs()
-        agg = aggregate_parties(make_index(docs), labels, {}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(docs, labels), {}, AggregationFilters(min_tweets=0))[0]
         assert "missing_meta" in agg.flags
 
     def test_unlabeled_docs_excluded_from_counts(self):
         docs, labels = self.party_docs(n=6, retweets=0, negatives=(0,))
         del labels[docs[-1].id]
-        agg = aggregate_parties(make_index(docs), labels, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
         assert agg.n_total == 5
 
     @given(st.integers(0, 8), st.integers(0, 8))
@@ -144,17 +146,17 @@ class TestAggregateParties:
             d, lab = self.party_docs(party=p, n=size, retweets=0, negatives=())
             docs += d
             labels.update(lab)
-        index = make_index(docs)
+        counts = count_documents(docs, labels)
         metas = {p: meta(p) for p in ("p1", "p2", "p3")}
-        low = {a.party_id for a in aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=t_low))}
-        high = {a.party_id for a in aggregate_parties(index, labels, metas, AggregationFilters(min_tweets=t_high))}
+        low = {a.party_id for a in aggregate_parties(counts, metas, AggregationFilters(min_tweets=t_low))}
+        high = {a.party_id for a in aggregate_parties(counts, metas, AggregationFilters(min_tweets=t_high))}
         assert high <= low
 
-    def test_invariants_on_fixture(self, index, party_meta, mock_map):
+    def test_invariants_on_fixture(self, corpus, party_meta, mock_map):
         from negcamp.annotate import parse_label
 
         labels = {k: parse_label(v) for k, v in mock_map.items()}
-        aggs = aggregate_parties(index, labels, party_meta, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(corpus, labels), party_meta, AggregationFilters(min_tweets=0))
         for a in aggs:
             assert a.n_negative_original <= a.n_original <= a.n_total
             assert 0.0 <= a.pct_negative <= 100.0
@@ -163,8 +165,40 @@ class TestAggregateParties:
 
     def test_country_of_lowest_id_labeled_document(self):
         docs = [make_doc(doc_id="a", country="DE"), make_doc(doc_id="b", country="GB"), make_doc(doc_id="c", country="DE")]
-        agg = aggregate_parties(make_index(docs), {"b": 1, "c": 0}, {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(docs, {"b": 1, "c": 0}), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
         assert agg.country == "GB"
+
+
+class TestCountDocuments:
+    def test_memory_does_not_grow_with_documents(self):
+        # What the table keeps is bounded by its distinct cells, not by the
+        # documents; these ids repeat every cell after 151 * 3 * 7 * 5 documents.
+        def kept_by_table(n):
+            labels = {f"d{i:07d}": i % 3 for i in range(n) if i % 5}
+            countries = ("GB", "DE", "ES")
+            docs = (
+                make_doc(doc_id=f"d{i:07d}", text=f"message {i} about the campaign", country=countries[i % 3],
+                         party=f"p{i % 151:03d}", retweet=i % 7 == 0)
+                for i in range(n)
+            )
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                counts = count_documents(docs, labels)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert sum(counts.cells.values()) == n
+            return kept
+
+        small, large = kept_by_table(20_000), kept_by_table(60_000)
+        assert large <= small + 4096, f"{small} B kept for 20k documents, {large} B for 60k"
+
+    def test_unlabeled_documents_counted_apart(self):
+        docs = [make_doc(doc_id="a"), make_doc(doc_id="b", retweet=True), make_doc(doc_id="c", party="p2", country="DE")]
+        counts = count_documents(docs, {"b": 1})
+        assert counts.cells == {("p1", "GB", False, None): 1, ("p1", "GB", True, 1): 1, ("p2", "DE", False, None): 1}
+        assert counts.party_countries == {"p1": ("b", "GB")}
 
 
 # (party, country, text, retweet flag, label or None) of one document
@@ -179,21 +213,26 @@ DOC_SPECS = st.tuples(
 
 @given(
     specs=st.lists(DOC_SPECS, max_size=40),
+    order=st.lists(st.integers(), min_size=40, max_size=40),
     exclude_retweets=st.booleans(),
     exclude_independents=st.booleans(),
     min_tweets=st.integers(0, 45),
     with_meta=st.sets(st.sampled_from(["p1", "p2", "p3"])),
 )
 @example(
+    # p1 spans DE and GB and its lowest id, d000, is unlabeled; the documents come in reverse
     specs=[("p1", "DE", "plain text", False, None), ("p1", "GB", "RT @x hi", False, 1), ("p1", "DE", "plain text", False, 0),
            ("", "ES", "plain text", True, 1), ("p2", "ES", "plain text", False, None)],
+    order=list(range(40, 0, -1)),
     exclude_retweets=True,
     exclude_independents=False,
     min_tweets=0,
     with_meta={"p1"},
 )
 @settings(max_examples=300, deadline=None)
-def test_index_aggregation_equals_list_oracle(specs, exclude_retweets, exclude_independents, min_tweets, with_meta):
+def test_index_aggregation_equals_list_oracle(specs, order, exclude_retweets, exclude_independents, min_tweets, with_meta):
+    """The count table of the documents in any order (sorted by the drawn
+    ``order`` keys) aggregates as the list oracles do over the corpus."""
     docs = [
         make_doc(doc_id=f"d{i:03d}", party=party, country=country, text=text, retweet=flag)
         for i, (party, country, text, flag, _) in enumerate(specs)
@@ -203,9 +242,10 @@ def test_index_aggregation_equals_list_oracle(specs, exclude_retweets, exclude_i
     filters = AggregationFilters(
         exclude_retweets=exclude_retweets, min_tweets=min_tweets, exclude_independents=exclude_independents
     )
-    index, corpus = make_index(docs), make_corpus(docs)
-    assert aggregate_parties(index, labels, metas, filters) == aggregate_parties_lists(corpus, labels, metas, filters)
-    assert country_negativity(index, labels) == country_negativity_lists(corpus, labels)
+    shuffled = [doc for _, doc in sorted(zip(order, docs), key=lambda pair: pair[0])]
+    counts, corpus = count_documents(shuffled, labels), make_corpus(docs)
+    assert aggregate_parties(counts, metas, filters) == aggregate_parties_lists(corpus, labels, metas, filters)
+    assert country_negativity(counts) == country_negativity_lists(corpus, labels)
 
 
 class TestBuildDesign:
@@ -498,13 +538,13 @@ class TestCountryNegativity:
             make_doc(doc_id="r2", country="GB", retweet=True),
         ]
         labels = {"o1": 1, "o2": 0, "o3": 0, "o4": 1, "r1": 0, "r2": 0}
-        rows = country_negativity(make_index(docs), labels)
+        rows = country_negativity(count_documents(docs, labels))
         assert rows[0].pct_original == pytest.approx(50.0)
         assert rows[0].pct_retweet == pytest.approx(0.0)
 
     def test_no_retweets_reported_absent(self):
         docs = [make_doc(doc_id="o1", country="GB")]
-        rows = country_negativity(make_index(docs), {"o1": 1})
+        rows = country_negativity(count_documents(docs, {"o1": 1}))
         assert rows[0].pct_retweet is None
         assert rows[0].pct_original == pytest.approx(100.0)
 
@@ -516,7 +556,7 @@ class TestCountryNegativity:
                 doc_id = f"{country}{i:03d}"
                 docs.append(make_doc(doc_id=doc_id, country=country, party=f"{country}_p"))
                 labels[doc_id] = 1 if i < rate else 0
-        rows = {r.country: r for r in country_negativity(make_index(docs), labels)}
+        rows = {r.country: r for r in country_negativity(count_documents(docs, labels))}
         assert rows["IS"].pct_original == 9.0
         assert rows["ES"].pct_original == 37.0
 
