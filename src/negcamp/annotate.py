@@ -216,13 +216,17 @@ class MockTransport:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockTransport":
-        """Load a ``{doc_id, response}`` JSONL map (response: string or list)."""
+        """Load a ``{doc_id, response}`` JSONL map (response: string or list);
+        a malformed line raises ``ValueError`` naming it."""
         responses: dict[str, str | Sequence[str]] = {}
         with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    record = json.loads(line)
-                    responses[record["doc_id"]] = record["response"]
+                    try:
+                        record = json.loads(line)
+                        responses[record["doc_id"]] = record["response"]
+                    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing field
+                        raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from None
         return cls(responses)
 
     @property

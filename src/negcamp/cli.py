@@ -185,7 +185,10 @@ def cmd_annotate(config: RunConfig) -> int:
     if config.mock is not None:
         if not config.mock.is_file():
             raise ConfigError(f"mock path does not exist: {config.mock}")
-        transport = MockTransport.from_jsonl(config.mock)
+        try:
+            transport = MockTransport.from_jsonl(config.mock)
+        except ValueError as exc:
+            raise ConfigError(f"malformed record in mock file {config.mock}: {exc}") from None
         retry = MOCK_RETRY
     else:
         transport = HttpTransport(pool_maxsize=config.concurrency)
@@ -342,11 +345,14 @@ def cmd_study(config: RunConfig) -> int:
         variant = ModelVariant(config.model_variant)
     except ValueError:
         raise ConfigError(f"invalid model_variant {config.model_variant!r} (m1, m2, or family)") from None
-    filters = AggregationFilters(
-        exclude_retweets=not config.include_retweets,
-        min_tweets=config.min_tweets,
-        exclude_independents=not config.include_independents,
-    )
+    try:
+        filters = AggregationFilters(
+            exclude_retweets=not config.include_retweets,
+            min_tweets=config.min_tweets,
+            exclude_independents=not config.include_independents,
+        )
+    except (TypeError, ValueError):  # TypeError: min_tweets is not a number
+        raise ConfigError(f"min_tweets must be a non-negative integer, not {config.min_tweets!r}") from None
     labels, annotations_path = _load_labels(config)
     meta_path = config.require("party_meta")
     party_meta = ingest_party_meta(meta_path)

@@ -9,7 +9,7 @@ number instead of aborting the run, so large ingestions stay resumable and
 auditable; that includes a record whose id, text, author or party is not
 valid UTF-8 (undecodable bytes, or a lone surrogate escape). Gold and
 party-metadata files are small curated inputs and raise on the first
-invalid row.
+invalid row, an undecodable byte included.
 """
 
 from __future__ import annotations
@@ -224,53 +224,58 @@ def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
     return DocumentIngest(corpus=corpus, rejections=tuple(rejections))
 
 
+def _csv_rows(path: str | Path, header: tuple[str, ...], kind: str) -> Iterator[tuple[str, int, dict[str, str]]]:
+    """Yield (file name, line number, row) for each row of a curated CSV
+    file, raising ``IngestError`` for a missing file, a wrong header or a
+    row with bytes that are not UTF-8."""
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"{kind} file not found: {path}")
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != header:
+            raise IngestError(f"{path.name}: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                "".join(v for v in row.values() if isinstance(v, str)).encode("utf-8")
+            except UnicodeEncodeError:
+                raise IngestError(f"{path.name} line {lineno}: bytes that are not UTF-8") from None
+            yield path.name, lineno, row
+
+
 def ingest_gold(path: str | Path) -> list[GoldLabel]:
     """Load a gold-label CSV with header ``doc_id,coder_id,label``.
 
     Labels must be 0 or 1 and (doc_id, coder_id) pairs unique; violations
     raise naming the offending row. Multi-coder tables are allowed.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"gold file not found: {path}")
     labels: list[GoldLabel] = []
     seen: set[tuple[str, str]] = set()
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != GOLD_HEADER:
-            raise IngestError(f"{path.name}: expected header {','.join(GOLD_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if row.get("doc_id") is None or row.get("coder_id") is None:
-                raise IngestError(f"{path.name} line {lineno}: short row")
-            raw = (row["label"] or "").strip()
-            if raw not in ("0", "1"):
-                raise IngestError(f"{path.name} line {lineno}: non-binary label {raw!r}")
-            key = (row["doc_id"], row["coder_id"])
-            if key in seen:
-                raise IngestError(f"{path.name} line {lineno}: duplicate (doc_id, coder_id) {key!r}")
-            seen.add(key)
-            labels.append(GoldLabel(doc_id=row["doc_id"], coder_id=row["coder_id"], label=int(raw)))
+    for name, lineno, row in _csv_rows(path, GOLD_HEADER, "gold"):
+        if row.get("doc_id") is None or row.get("coder_id") is None:
+            raise IngestError(f"{name} line {lineno}: short row")
+        raw = (row["label"] or "").strip()
+        if raw not in ("0", "1"):
+            raise IngestError(f"{name} line {lineno}: non-binary label {raw!r}")
+        key = (row["doc_id"], row["coder_id"])
+        if key in seen:
+            raise IngestError(f"{name} line {lineno}: duplicate (doc_id, coder_id) {key!r}")
+        seen.add(key)
+        labels.append(GoldLabel(doc_id=row["doc_id"], coder_id=row["coder_id"], label=int(raw)))
     return labels
 
 
 def ingest_party_meta(path: str | Path) -> dict[str, PartyMeta]:
     """Load the party covariate CSV keyed by party_id."""
-    path = Path(path)
-    if not path.is_file():
-        raise IngestError(f"party metadata file not found: {path}")
     meta: dict[str, PartyMeta] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != PARTY_META_HEADER:
-            raise IngestError(f"{path.name}: expected header {','.join(PARTY_META_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                record = _parse_party_row(row)
-            except (ValueError, TypeError) as exc:
-                raise IngestError(f"{path.name} line {lineno}: {exc}") from None
-            if record.party_id in meta:
-                raise IngestError(f"{path.name} line {lineno}: duplicate party_id {record.party_id!r}")
-            meta[record.party_id] = record
+    for name, lineno, row in _csv_rows(path, PARTY_META_HEADER, "party metadata"):
+        try:
+            record = _parse_party_row(row)
+        except (ValueError, TypeError) as exc:
+            raise IngestError(f"{name} line {lineno}: {exc}") from None
+        if record.party_id in meta:
+            raise IngestError(f"{name} line {lineno}: duplicate party_id {record.party_id!r}")
+        meta[record.party_id] = record
     return meta
 
 

@@ -4,8 +4,10 @@ import pytest
 import requests
 
 from helpers import StubResponse, StubSession, synthetic_study_files
+from negcamp import cli
 from negcamp.annotate import MockTransport
 from negcamp.cli import main
+from negcamp.ingest import Corpus
 
 
 def run(*argv):
@@ -163,6 +165,24 @@ class TestAnnotateCommand:
         config_path.write_text(json.dumps(config), encoding="utf-8")
         assert run("annotate", "--config", config_path) == 0
         assert (tmp_path / "out" / "annotations.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "bad_line, error",
+        [
+            ('{"doc_id": "d002", "response": "1"', "JSONDecodeError"),
+            ('{"response": "1"}', "KeyError: 'doc_id'"),
+            ('{"doc_id": "d002"}', "KeyError: 'response'"),
+            ('["d002", "1"]', "TypeError"),
+        ],
+        ids=["bad-json", "no-doc-id", "no-response", "not-object"],
+    )
+    def test_malformed_mock_exits_2(self, data_dir, tmp_path, capsys, bad_line, error):
+        first = (data_dir / "mock_responses.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        mock = tmp_path / "mock.jsonl"
+        mock.write_text(first + "\n" + bad_line + "\n", encoding="utf-8")
+        code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--mock", mock, "--out", tmp_path / "out")
+        assert code == 2
+        assert f"config error: malformed record in mock file {mock}: line 2: {error}" in capsys.readouterr().err
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
@@ -456,3 +476,74 @@ class TestManifests:
         assert (out / "study_m1" / "manifest_study.json").read_bytes() == (
             golden_dir / "study_m1" / "manifest_study.json"
         ).read_bytes()
+
+
+@pytest.mark.parametrize("which", ["gold", "party_meta"])
+def test_curated_csv_not_utf8_exits_2(data_dir, golden_dir, tmp_path, capsys, which):
+    annotations, out = golden_dir / "annotations.jsonl", tmp_path / "out"
+    if which == "gold":
+        bad, line = tmp_path / "gold.csv", 2
+        bad.write_bytes(b"doc_id,coder_id,label\nd001,c\xff1,1\n")
+        argv = ("evaluate", "--gold", bad)
+    else:
+        bad, line = tmp_path / "parties.csv", 3
+        rows = (data_dir / "parties.csv").read_bytes().splitlines(keepends=True)
+        rows[line - 1] = rows[line - 1].replace(b"Christlich", b"Christ\xfflich")
+        bad.write_bytes(b"".join(rows))
+        argv = ("study", "--party-meta", bad, "--min-tweets", 0)
+    code = run(*argv, "--corpus", data_dir / "corpus.jsonl", "--annotations", annotations, "--out", out)
+    assert code == 2
+    assert f"config error: {bad.name} line {line}: bytes that are not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_negative_min_tweets_exits_2_before_corpus_read(data_dir, golden_dir, tmp_path, capsys, monkeypatch, route):
+    def unread(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(cli, "iter_documents", unread)
+    if route == "flag":
+        setting = ("--min-tweets", -1)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"min_tweets": -1}), encoding="utf-8")
+        setting = ("--config", config)
+    code = run(
+        "study", "--corpus", data_dir / "corpus.jsonl", "--annotations", golden_dir / "annotations.jsonl",
+        "--party-meta", data_dir / "parties.csv", *setting, "--out", tmp_path / "out",
+    )
+    assert code == 2
+    assert "config error: min_tweets must be a non-negative integer, not -1" in capsys.readouterr().err
+
+
+class TestStreamedCorpus:
+    """evaluate and study read the corpus as one stream, in file order."""
+
+    def run_both(self, data_dir, golden_dir, corpus, out):
+        annotations = golden_dir / "annotations.jsonl"
+        assert run(
+            "evaluate", "--corpus", corpus, "--gold", data_dir / "gold.csv", "--annotations", annotations, "--out", out,
+        ) == 0
+        assert run(
+            "study", "--corpus", corpus, "--annotations", annotations, "--party-meta", data_dir / "parties.csv",
+            "--min-tweets", 0, "--model-variant", "m1", "--out", out / "study_m1",
+        ) == 0
+
+    def test_reversed_corpus_gives_identical_outputs(self, data_dir, golden_dir, tmp_path):
+        lines = (data_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        corpus = tmp_path / "reversed.jsonl"
+        corpus.write_text("".join(reversed(lines)), encoding="utf-8")
+        out = tmp_path / "out"
+        self.run_both(data_dir, golden_dir, corpus, out)
+        for name in (
+            "evaluation.json", "study_m1/aggregates.csv", "study_m1/figure1_country.csv", "study_m1/figure2_party.csv",
+            "study_m1/regression.json",
+        ):
+            assert (out / name).read_bytes() == (golden_dir / name).read_bytes(), name
+
+    def test_no_corpus_built(self, data_dir, golden_dir, tmp_path, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("a Corpus was built")
+
+        monkeypatch.setattr(Corpus, "__init__", refuse)
+        self.run_both(data_dir, golden_dir, data_dir / "corpus.jsonl", tmp_path / "out")
