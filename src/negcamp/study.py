@@ -102,14 +102,14 @@ def count_documents(documents: Iterable[Document], labels: Mapping[str, int]) ->
         label = labels.get(doc.id)
         cells[doc.party_id, doc.country, detect_retweet(doc), label] += 1
         if label is not None:
-            this = (doc.id, doc.country)
-            party_countries[doc.party_id] = min(party_countries.get(doc.party_id, this), this)
+            lowest = party_countries.get(doc.party_id)
+            if lowest is None or doc.id < lowest[0]:
+                party_countries[doc.party_id] = (doc.id, doc.country)
     return DocumentCounts(cells, party_countries)
 
 
 def _tallies(counts: DocumentCounts, by_country: bool, split_retweets: bool) -> dict[str, list[int]]:
-    """[originals, negative originals, retweets, negative retweets] of the
-    labeled documents per party, or per country if ``by_country``."""
+    """Labeled [originals, negatives, retweets, negative retweets] per party, or per country if ``by_country``."""
     tallies: dict[str, list[int]] = {}
     for (party_id, country, is_retweet, label), n in counts.cells.items():
         tally = tallies.setdefault(country if by_country else party_id, [0, 0, 0, 0])

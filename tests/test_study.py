@@ -188,7 +188,7 @@ class TestCountDocuments:
                 kept = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            assert sum(counts.cells.values()) == n
+            assert counts.cells.total() == n
             return kept
 
         small, large = kept_by_table(20_000), kept_by_table(60_000)
@@ -199,6 +199,7 @@ class TestCountDocuments:
         counts = count_documents(docs, {"b": 1})
         assert counts.cells == {("p1", "GB", False, None): 1, ("p1", "GB", True, 1): 1, ("p2", "DE", False, None): 1}
         assert counts.party_countries == {"p1": ("b", "GB")}
+        assert counts.n_unlabeled == 2
 
 
 # (party, country, text, retweet flag, label or None) of one document
