@@ -41,7 +41,7 @@ from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
 from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
-from .runio import canonical_float, sha256_file, sha256_text, stable_json_dumps, write_json, write_text
+from .runio import sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
     AggregationFilters,
     ModelVariant,
@@ -120,6 +120,26 @@ class RunConfig:
 
 
 _PATH_FIELDS = ("out", "corpus", "gold", "party_meta", "annotations", "cache", "mock")
+_BOOL_FIELDS = ("include_retweets", "include_independents")
+_INT_FIELDS = ("concurrency", "min_tweets")
+
+
+def _check_config_type(name: str, value: object) -> None:
+    """Raise ``ConfigError`` unless a config-file value has its field's type:
+    a bool for the flags, an int (not a bool) for the counts, a number for
+    ``failure_threshold`` and a string, or null where the default is null,
+    for the rest."""
+    if name in _BOOL_FIELDS:
+        expected, ok = "true or false", isinstance(value, bool)
+    elif name in _INT_FIELDS:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif name == "failure_threshold":
+        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        nullable = RunConfig.__dataclass_fields__[name].default is None
+        expected, ok = "a string" + (" or null" if nullable else ""), isinstance(value, str) or (nullable and value is None)
+    if not ok:
+        raise ConfigError(f"config key {name} must be {expected}, not {json.dumps(value)}")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -134,6 +154,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_settings) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+        for name, value in file_settings.items():
+            _check_config_type(name, value)
         settings.update(file_settings)
     for name in RunConfig.__dataclass_fields__:
         value = getattr(args, name, None)
@@ -351,7 +373,7 @@ def cmd_study(config: RunConfig) -> int:
             min_tweets=config.min_tweets,
             exclude_independents=not config.include_independents,
         )
-    except (TypeError, ValueError):  # TypeError: min_tweets is not a number
+    except ValueError:
         raise ConfigError(f"min_tweets must be a non-negative integer, not {config.min_tweets!r}") from None
     labels, annotations_path = _load_labels(config)
     meta_path = config.require("party_meta")
@@ -405,10 +427,7 @@ def cmd_study(config: RunConfig) -> int:
             config.out / "marginal_means.csv",
             _csv_text(
                 ("family", "predicted", "ci_low", "ci_high", "n_obs", "flags"),
-                [
-                    (m.family, canonical_float(m.predicted), canonical_float(m.ci_low), canonical_float(m.ci_high), m.n_obs, ";".join(m.flags))
-                    for m in means
-                ],
+                [(m.family, *m.written(), m.n_obs, ";".join(m.flags)) for m in means],
             ),
         )
 

@@ -6,18 +6,51 @@ import hashlib
 import json
 import os
 import tempfile
+from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 
-def canonical_float(x: float) -> float:
-    """``x`` rounded to 12 significant digits.
+def _round_12(q: Fraction) -> float:
+    """The rational ``q`` rounded to 12 significant digits, ties to even."""
+    if not q:
+        return 0.0
+    size = abs(q)
+    e = (size.numerator.bit_length() - size.denominator.bit_length()) * 30103 // 100000  # ~log10, off by at most 1
+    while size >= Fraction(10) ** (e + 1):
+        e += 1
+    while size < Fraction(10) ** e:
+        e -= 1
+    return float(f"{round(q * Fraction(10) ** (11 - e))}e{e - 11}")
 
-    Model-derived floats (least squares, clustered covariances, t quantiles)
-    differ in their last bits between numpy, scipy and BLAS builds; rounding
-    them before output keeps written files byte-identical across those
-    builds, except for a value within a few ulps of a rounding boundary.
+
+def canonical_float(x: Fraction | int, root: Fraction | int = 0) -> float:
+    """``x + sqrt(root)``, or ``x - sqrt(-root)`` for a negative ``root``,
+    rounded once to 12 significant digits (ties to even) from its exact
+    value; ``x`` and ``root`` are rationals.
+
+    The study writes its model-derived values through this: each is a
+    rational (an estimate, R^2) or such a root expression (a standard
+    error, a confidence bound), so the written digits depend on nothing but
+    the inputs. For a float ``x`` and no root it equals
+    ``float(f"{x:.12g}")`` on ``Fraction(x)``. A root is enclosed between
+    integer square roots at ever finer decimal scales until both ends of
+    the enclosure round alike, which ends because an irrational value lies
+    on no rounding boundary.
     """
-    return float(f"{x:.12g}")
+    x = Fraction(x)
+    if not root:
+        return _round_12(x)
+    sign, radicand = (1, Fraction(root)) if root > 0 else (-1, -Fraction(root))
+    digits = 24
+    while True:
+        scaled = radicand * 10 ** (2 * digits)
+        floor = isqrt(scaled.numerator // scaled.denominator)  # floor(sqrt(radicand) * 10**digits)
+        ceil = floor if floor * floor == scaled else floor + 1
+        low, high = _round_12(x + Fraction(sign * floor, 10**digits)), _round_12(x + Fraction(sign * ceil, 10**digits))
+        if low == high:
+            return low
+        digits *= 2
 
 
 def stable_json_dumps(obj: object, indent: int | None = None) -> str:

@@ -11,30 +11,37 @@ Clustered covariances use the CR1 small-sample factor (G/(G-1))*((N-1)/(N-k))
 and confidence intervals use a t distribution with G-1 degrees of freedom;
 both choices are configurable at the call sites that need them tested.
 
-numpy and scipy are imported inside the functions that compute with them, so
-importing this module (and so the package and its CLI) stays cheap for
-``annotate`` and ``evaluate``, which never fit a model.
+The fit is exact. Every response and predictor is a float or a 0/1 dummy,
+so each column of X, and y, scales by a power of two to integers, and X'X is
+inverted in integer arithmetic; coefficients, residuals, R^2 and each
+variance are rationals, and a standard error is the square root of one. The
+written values are rounded once from these (``runio.canonical_float``), so
+they depend on no BLAS, LAPACK or scipy build, nor on the order of the
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from fractions import Fraction
+from operator import mul
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DesignError, RankDeficient
 from .ingest import Document, PartyMeta, detect_retweet
 from .runio import canonical_float
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GOVT_NAME = "Government experience"
 ANTIELITE_NAME = "Anti-elite salience"
 EXTREMISM_NAME = "Ideological extreme"
 LRGEN_NAME = "General Left-Right"
 INTERCEPT_NAME = "(Intercept)"
+_EPS = Fraction(1, 1 << 52)  # float64 machine epsilon, which LAPACK's rank tolerance uses
 
 
 def extremism(lrgen: float) -> float:
@@ -167,12 +174,76 @@ class ModelVariant(str, Enum):
     FAMILY = "family"
 
 
+def _to_integers(values: Iterable[float]) -> tuple[int, list[int]]:
+    """(shift, ints) with ints[i] == values[i] * 2**shift exactly, for the
+    least shift >= 0 that makes every value an integer."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    shift = max(d.bit_length() for _, d in ratios) - 1  # each denominator is a power of two
+    return shift, [n << shift - d.bit_length() + 1 for n, d in ratios]
+
+
+class NormalInverse(NamedTuple):
+    """(X'X)^-1, exactly: column j of X times 2**shifts[j] is the integer
+    column j of Z, and (Z'Z)^-1 = adjugate / det."""
+
+    shifts: tuple[int, ...]
+    Z: tuple[tuple[int, ...], ...]
+    adjugate: tuple[tuple[int, ...], ...]
+    det: int
+
+
+def _invert_normal(X: Sequence[Sequence[float]], columns: Sequence[str]) -> NormalInverse:
+    """Invert X'X by fraction-free symmetric sweeps, raising with the
+    dependent columns by name when X lacks full column rank.
+
+    Each sweep pivots on the column with the largest squared residual norm
+    given the columns already swept: the order of LAPACK's pivoted QR
+    (Businger-Golub), whose R_jj**2 is that residual norm. Column j is
+    dependent when R_jj <= R_11 * max(n, k) * eps, LAPACK's rank tolerance,
+    tested here exactly. Every entry stays an integer: after sweeping the
+    set S the matrix holds det(M_SS) times the swept matrix, the Bareiss
+    (1968) invariant, so each update divides exactly by the previous pivot.
+    """
+    shifts, z_columns = zip(*(_to_integers(col) for col in zip(*X)))
+    n, k = len(X), len(columns)
+    T = [[sum(map(mul, a, b)) for b in z_columns] for a in z_columns]  # Z'Z
+    # squared residual norms in X's units are T[j][j] / (delta * 4**shifts[j])
+    top = max(shifts)
+    largest = max(Fraction(T[j][j], 1 << 2 * shifts[j]) for j in range(k))  # R_11**2
+    bound = largest * (max(n, k) * _EPS) ** 2
+    order = list(range(k))  # swapped as LAPACK swaps, so ties go the same way
+    delta = 1
+    for step in range(k):
+        best = max(range(step, k), key=lambda i: T[order[i]][order[i]] << 2 * (top - shifts[order[i]]))
+        order[step], order[best] = order[best], order[step]
+        p = order[step]
+        pivot, row_p = T[p][p], T[p]
+        if Fraction(pivot, delta << 2 * shifts[p]) <= bound:
+            raise RankDeficient(sorted(columns[j] for j in order[step:]))
+        for i, row in enumerate(T):
+            if i != p:
+                a = row[p]
+                if a:
+                    row[:] = [(pivot * x - a * y) // delta for x, y in zip(row, row_p)]
+                    row[p] = a
+                else:
+                    row[:] = [pivot * x // delta for x in row]
+        row_p[p] = -delta
+        delta = pivot
+    return NormalInverse(
+        shifts=shifts,
+        Z=tuple(zip(*z_columns)),
+        adjugate=tuple(tuple(-x for x in row) for row in T),
+        det=delta,
+    )
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Response, predictors, and cluster ids for one regression."""
+    """Response, predictors (rows of X), and cluster ids for one regression."""
 
-    y: np.ndarray
-    X: np.ndarray
+    y: tuple[float, ...]
+    X: tuple[tuple[float, ...], ...]
     columns: tuple[str, ...]
     clusters: tuple[str, ...]
     party_ids: tuple[str, ...]
@@ -181,32 +252,16 @@ class DesignMatrix:
     family_by_row: tuple[str, ...] | None = None
     family_columns: Mapping[str, int] | None = None
     reference_family: str | None = None
-    # build_design's pivoted QR of X, (q, r, pivots), reused by fit_ols
-    factorization: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    # build_design's rank check, reused by fit_ols
+    inverse: NormalInverse | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_obs(self) -> int:
-        return int(self.X.shape[0])
+        return len(self.y)
 
     @property
     def n_clusters(self) -> int:
         return len(set(self.clusters))
-
-
-def _check_rank(X: np.ndarray, columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivoted QR of X (X[:, pivots] = q @ r), raising with the dependent
-    columns by name when X lacks full column rank."""
-    import numpy as np
-    from scipy import linalg
-
-    q, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < X.shape[1]:
-        offenders = sorted(columns[p] for p in pivots[rank:])
-        raise RankDeficient(offenders)
-    return q, r, pivots
 
 
 def build_design(
@@ -222,8 +277,6 @@ def build_design(
     (alphabetically first unless overridden). The family model adds family
     dummies against the alphabetically first family present.
     """
-    import numpy as np
-
     rows = [a for a in aggregates if a.party_id in party_meta and "missing_meta" not in a.flags]
     if not rows:
         raise DesignError("no aggregates with party metadata")
@@ -257,29 +310,28 @@ def build_design(
     columns.extend(f"Country: {c}" for c in dummy_countries)
 
     n, k = len(rows), len(columns)
-    X = np.zeros((n, k))
-    y = np.empty(n)
-    for i, agg in enumerate(rows):
+    X = []
+    for agg in rows:
         meta = party_meta[agg.party_id]
-        y[i] = agg.pct_negative
-        X[i, 0] = 1.0
-        X[i, 1] = float(meta.govt)
-        X[i, 2] = meta.antielite_salience
+        x = [0.0] * k
+        x[0] = 1.0
+        x[1] = float(meta.govt)
+        x[2] = meta.antielite_salience
         if variant is ModelVariant.MODEL1:
-            X[i, 3] = extremism(meta.lrgen)
+            x[3] = extremism(meta.lrgen)
         elif variant is ModelVariant.MODEL2:
-            X[i, 3] = meta.lrgen
+            x[3] = meta.lrgen
         elif family_columns is not None and meta.family in family_columns:
-            X[i, family_columns[meta.family]] = 1.0
+            x[family_columns[meta.family]] = 1.0
         if agg.country != reference_country:
-            X[i, country_offset + dummy_countries.index(agg.country)] = 1.0
+            x[country_offset + dummy_countries.index(agg.country)] = 1.0
+        X.append(tuple(x))
 
     if n <= k:
         raise DesignError(f"underdetermined system: {n} observations for {k} parameters")
-    factorization = _check_rank(X, columns)
     return DesignMatrix(
-        y=y,
-        X=X,
+        y=tuple(a.pct_negative for a in rows),
+        X=tuple(X),
         columns=tuple(columns),
         clusters=tuple(a.country for a in rows),
         party_ids=tuple(a.party_id for a in rows),
@@ -288,208 +340,328 @@ def build_design(
         family_by_row=family_by_row,
         family_columns=family_columns,
         reference_family=reference_family,
-        factorization=factorization,
+        inverse=_invert_normal(X, columns),
     )
 
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Coefficients and fit statistics from the QR solve.
+    """Exact least-squares coefficients and fit statistics.
 
     ``rmse`` follows the regression-table convention sqrt(RSS / (n - k)).
     """
 
-    beta: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    xtx_inv: np.ndarray
-    r2: float
-    adj_r2: float
-    rmse: float
+    beta: tuple[Fraction, ...]
+    fitted: tuple[Fraction, ...]
+    residuals: tuple[Fraction, ...]
+    r2: Fraction
+    adj_r2: Fraction
+    rss: Fraction
     n_obs: int
     n_params: int
+    inverse: NormalInverse = field(repr=False)
+
+    @property
+    def rmse(self) -> float:
+        return math.sqrt(self.rss / (self.n_obs - self.n_params))
 
 
 def fit_ols(design: DesignMatrix) -> OlsFit:
-    """Least squares via the pivoted QR decomposition of the rank check,
-    the one ``build_design`` stored or, for a design built by hand, a new
-    one."""
-    import numpy as np
-    from scipy import linalg
-
-    X, y = design.X, design.y
-    n, k = X.shape
+    """Least squares from the exact inverse of X'X that ``build_design``
+    stored or, for a design built by hand, a new one."""
+    n, k = design.n_obs, len(design.columns)
     if n <= k:
         raise DesignError(f"underdetermined system: {n} observations for {k} parameters")
-    q, r, pivots = design.factorization or _check_rank(X, design.columns)
-    beta = np.empty(k)
-    beta[pivots] = linalg.solve_triangular(r, q.T @ y)
-    fitted = X @ beta
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
-    r_inv = linalg.solve_triangular(r, np.eye(k))
-    xtx_inv = np.empty((k, k))
-    xtx_inv[np.ix_(pivots, pivots)] = r_inv @ r_inv.T
+    inverse = design.inverse or _invert_normal(design.X, design.columns)
+    y_shift, w = _to_integers(design.y)
+    Zw = [sum(map(mul, col, w)) for col in zip(*inverse.Z)]
+    scaled = [sum(map(mul, row, Zw)) for row in inverse.adjugate]  # beta_j = scaled_j * 2**shift_j / denominator
+    denominator = inverse.det << y_shift
+    r = [inverse.det * wi - sum(map(mul, zi, scaled)) for zi, wi in zip(inverse.Z, w)]  # residuals * denominator
+    rss = Fraction(sum(ri * ri for ri in r), denominator * denominator)
+    tss = Fraction(n * sum(wi * wi for wi in w) - sum(w) ** 2, n << 2 * y_shift)
+    r2 = 1 - rss / tss if tss > 0 else Fraction(1)
     return OlsFit(
-        beta=beta,
-        fitted=fitted,
-        residuals=residuals,
-        xtx_inv=xtx_inv,
+        beta=tuple(Fraction(b << s, denominator) for b, s in zip(scaled, inverse.shifts)),
+        fitted=tuple(Fraction(inverse.det * wi - ri, denominator) for wi, ri in zip(w, r)),
+        residuals=tuple(Fraction(ri, denominator) for ri in r),
         r2=r2,
-        adj_r2=adj_r2,
-        rmse=float(np.sqrt(rss / (n - k))),
+        adj_r2=1 - (1 - r2) * Fraction(n - 1, n - k),
+        rss=rss,
         n_obs=n,
         n_params=k,
+        inverse=inverse,
     )
 
 
 @dataclass(frozen=True)
 class ClusterCovariance:
-    cov: np.ndarray
-    se: np.ndarray
+    """CR1 variances of the coefficients from each cluster's influence on
+    them, ``influence[g] = (X'X)^-1 X_g' e_g``."""
+
+    variance: tuple[Fraction, ...]
+    influence: tuple[tuple[Fraction, ...], ...]
+    factor: Fraction  # (G / (G - 1)) * ((N - 1) / (N - k))
     n_clusters: int
     df: int  # G - 1, used for t-based confidence intervals
 
+    @property
+    def se(self) -> tuple[float, ...]:
+        return tuple(math.sqrt(v) for v in self.variance)
+
 
 def cluster_robust_se(fit: OlsFit, design: DesignMatrix) -> ClusterCovariance:
-    """CR1 sandwich covariance with cluster-summed scores.
+    """CR1 sandwich variances with cluster-summed scores.
 
-    meat = sum_g (X_g' u_g)(X_g' u_g)', scaled by (G/(G-1)) * ((N-1)/(N-k)).
-    Requires at least two clusters.
+    var_j = factor * sum_g influence[g][j]**2, which is the diagonal of
+    factor * (X'X)^-1 [sum_g (X_g' e_g)(X_g' e_g)'] (X'X)^-1 without forming
+    it. Requires at least two clusters.
     """
-    import numpy as np
-
     groups = sorted(set(design.clusters))
     G = len(groups)
     if G < 2:
         raise ValueError("clustered errors require at least two clusters")
-    n, k = design.X.shape
-    meat = np.zeros((k, k))
-    cluster_index = np.asarray(design.clusters)
-    for g in groups:
-        rows = cluster_index == g
-        score = design.X[rows].T @ fit.residuals[rows]
-        meat += np.outer(score, score)
-    factor = (G / (G - 1)) * ((n - 1) / (n - k))
-    cov = factor * fit.xtx_inv @ meat @ fit.xtx_inv
-    return ClusterCovariance(cov=cov, se=np.sqrt(np.diag(cov)), n_clusters=G, df=G - 1)
+    n, k = fit.n_obs, fit.n_params
+    inverse = fit.inverse
+    denominator = math.lcm(*(e.denominator for e in fit.residuals))
+    scores = {g: [0] * k for g in groups}  # Z_g' e_g * denominator
+    for zi, e, g in zip(inverse.Z, fit.residuals, design.clusters):
+        r = e.numerator * (denominator // e.denominator)
+        scores[g] = [s + z * r for s, z in zip(scores[g], zi)]
+    # influence[g][j] = v[g][j] * 2**shift_j / (det * denominator)
+    v = [[sum(map(mul, row, scores[g])) for row in inverse.adjugate] for g in groups]
+    denominator *= inverse.det
+    factor = Fraction(G * (n - 1), (G - 1) * (n - k))
+    return ClusterCovariance(
+        variance=tuple(
+            factor * Fraction(sum(vg[j] ** 2 for vg in v) << 2 * s, denominator * denominator)
+            for j, s in enumerate(inverse.shifts)
+        ),
+        influence=tuple(tuple(Fraction(x << s, denominator) for x, s in zip(vg, inverse.shifts)) for vg in v),
+        factor=factor,
+        n_clusters=G,
+        df=G - 1,
+    )
+
+
+def _written(estimate: Fraction, variance: Fraction, t_crit: float) -> tuple[float, float, float, float]:
+    """(estimate, se, ci_low, ci_high), se = sqrt(variance) and the bounds
+    estimate -/+ t_crit * se, each rounded once from its exact value."""
+    reach = Fraction(t_crit) ** 2 * variance  # (t_crit * se)**2
+    return (
+        canonical_float(estimate),
+        canonical_float(0, variance),
+        canonical_float(estimate, -reach),
+        canonical_float(estimate, reach),
+    )
 
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Coefficient table plus fit statistics, Table-4 shaped."""
+    """Coefficient table plus fit statistics, Table-4 shaped, held exactly:
+    ``beta``, ``variance``, ``r2``, ``adj_r2``, ``rss`` and ``fitted`` are
+    rationals. ``se``, ``ci_low``, ``ci_high`` and ``rmse`` are float views;
+    ``to_dict`` rounds every value from its exact value."""
 
     columns: tuple[str, ...]
-    beta: np.ndarray
-    se: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
-    r2: float
-    adj_r2: float
-    rmse: float
+    beta: tuple[Fraction, ...]
+    variance: tuple[Fraction, ...]
+    t_crit: float
+    r2: Fraction
+    adj_r2: Fraction
+    rss: Fraction
     n_obs: int
     n_clusters: int
-    cov: np.ndarray
     df: int
-    fitted: np.ndarray
+    fitted: tuple[Fraction, ...]
+    influence: tuple[tuple[Fraction, ...], ...]
+    factor: Fraction
+
+    @property
+    def se(self) -> tuple[float, ...]:
+        return tuple(math.sqrt(v) for v in self.variance)
+
+    @property
+    def ci_low(self) -> tuple[float, ...]:
+        return tuple(float(b) - self.t_crit * se for b, se in zip(self.beta, self.se))
+
+    @property
+    def ci_high(self) -> tuple[float, ...]:
+        return tuple(float(b) + self.t_crit * se for b, se in zip(self.beta, self.se))
+
+    @property
+    def rmse(self) -> float:
+        return math.sqrt(self.rss / (self.n_obs - len(self.columns)))
 
     def coefficient(self, name: str) -> tuple[float, float, float, float]:
         """(estimate, se, ci_low, ci_high) for a named column."""
         i = self.columns.index(name)
-        return float(self.beta[i]), float(self.se[i]), float(self.ci_low[i]), float(self.ci_high[i])
+        return float(self.beta[i]), self.se[i], self.ci_low[i], self.ci_high[i]
 
     def to_dict(self) -> dict[str, object]:
-        """The ``regression.json`` body; model-derived floats go through
-        ``canonical_float``."""
-        table = [
-            {
-                "name": name,
-                "estimate": canonical_float(self.beta[i]),
-                "se": canonical_float(self.se[i]),
-                "ci_low": canonical_float(self.ci_low[i]),
-                "ci_high": canonical_float(self.ci_high[i]),
-            }
-            for i, name in enumerate(self.columns)
-        ]
+        """The ``regression.json`` body, each model-derived value rounded
+        once from its exact value by ``canonical_float``."""
+        table = []
+        for name, beta, variance in zip(self.columns, self.beta, self.variance):
+            estimate, se, ci_low, ci_high = _written(beta, variance, self.t_crit)
+            table.append({"name": name, "estimate": estimate, "se": se, "ci_low": ci_low, "ci_high": ci_high})
         return {
             "coefficients": table,
             "r2": canonical_float(self.r2),
             "adj_r2": canonical_float(self.adj_r2),
-            "rmse": canonical_float(self.rmse),
+            "rmse": canonical_float(0, self.rss / (self.n_obs - len(self.columns))),
             "n": self.n_obs,
             "n_clusters": self.n_clusters,
         }
 
 
+def _atan(x: Decimal) -> Decimal:
+    """arctan(x) for x >= 0 at the context's precision: halve the angle
+    until x <= 1/10, then sum the Taylor series."""
+    doublings = 0
+    while x > Decimal("0.1"):
+        x = x / (1 + (1 + x * x).sqrt())
+        doublings += 1
+    total, power, k = x, x, 1
+    while True:
+        power *= -x * x
+        k += 2
+        term = power / k
+        if total + term == total:
+            return total * 2**doublings
+        total += term
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 def t_critical(df: int) -> float:
     """Two-sided 95% critical value of Student's t with ``df`` degrees of
-    freedom; ``stdtrit`` is what ``scipy.stats.t.ppf`` evaluates, without
-    the cost of importing ``scipy.stats``."""
-    from scipy.special import stdtrit
+    freedom: the double nearest the exact quantile.
 
-    return float(stdtrit(df, 0.975))
+    The coverage P(|T| <= t) has a closed form for integer df (Abramowitz
+    and Stegun 26.7.3 for odd, 26.7.4 for even df), evaluated here at 40
+    significant digits. Bisection runs over the doubles between 1.9 and
+    12.8, which bracket every df's quantile (12.706... at df 1, 1.95996...
+    in the limit); the coverage at the midpoint of the last two doubles
+    picks the nearer one.
+    """
+    if df < 1:
+        raise ValueError("t quantiles need at least one degree of freedom")
+    with localcontext() as ctx:
+        ctx.prec = 40
+        nu, pi, target = Decimal(df), 4 * _atan(Decimal(1)), Decimal("0.95")
+        # the df // 2 terms of the series in cos^2(theta), theta = arctan(t / sqrt(df)), highest power first
+        even, coefficients, c = df % 2 == 0, [], Decimal(1)
+        for j in range(1, df // 2 + 1):
+            coefficients.append(c)
+            top = 2 * j - 1 if even else 2 * j
+            c = c * top / (top + 1)
+        coefficients.reverse()
+
+        def coverage(t: Decimal) -> Decimal:
+            cos2 = nu / (nu + t * t)
+            sin = t / (nu + t * t).sqrt()
+            series = Decimal(0)
+            for a in coefficients:
+                series = series * cos2 + a
+            if even:
+                return sin * series
+            return 2 * (_atan(t / nu.sqrt()) + sin * cos2.sqrt() * series) / pi
+
+        lo, hi = _float_bits(1.9), _float_bits(12.8)  # coverage(lo) < target <= coverage(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if coverage(Decimal(_bits_float(mid))) < target:
+                lo = mid
+            else:
+                hi = mid
+        low, high = _bits_float(lo), _bits_float(hi)
+        return low if coverage((Decimal(low) + Decimal(high)) / 2) > target else high
 
 
 def fit_model(design: DesignMatrix) -> RegressionFit:
     """OLS point estimates with country-clustered SEs and 95% t intervals."""
     fit = fit_ols(design)
     clustered = cluster_robust_se(fit, design)
-    t_crit = t_critical(clustered.df)
     return RegressionFit(
         columns=design.columns,
         beta=fit.beta,
-        se=clustered.se,
-        ci_low=fit.beta - t_crit * clustered.se,
-        ci_high=fit.beta + t_crit * clustered.se,
+        variance=clustered.variance,
+        t_crit=t_critical(clustered.df),
         r2=fit.r2,
         adj_r2=fit.adj_r2,
-        rmse=fit.rmse,
+        rss=fit.rss,
         n_obs=fit.n_obs,
         n_clusters=clustered.n_clusters,
-        cov=clustered.cov,
         df=clustered.df,
         fitted=fit.fitted,
+        influence=clustered.influence,
+        factor=clustered.factor,
     )
 
 
 @dataclass(frozen=True)
 class MarginalMeansRow:
+    """One family's average prediction, exact, with the rational variance
+    of its standard error; ``ci_low`` and ``ci_high`` are float views."""
+
     family: str
-    predicted: float
-    ci_low: float
-    ci_high: float
+    predicted: Fraction
+    variance: Fraction
+    t_crit: float
     n_obs: int
     flags: tuple[str, ...] = field(default=())
+
+    @property
+    def ci_low(self) -> float:
+        return float(self.predicted) - self.t_crit * math.sqrt(self.variance)
+
+    @property
+    def ci_high(self) -> float:
+        return float(self.predicted) + self.t_crit * math.sqrt(self.variance)
+
+    def written(self) -> tuple[float, float, float]:
+        """(predicted, ci_low, ci_high), each rounded once from its exact value."""
+        predicted, _, ci_low, ci_high = _written(self.predicted, self.variance, self.t_crit)
+        return predicted, ci_low, ci_high
 
 
 def marginal_means_family(fit: RegressionFit, design: DesignMatrix) -> list[MarginalMeansRow]:
     """Average predicted negativity with every observation assigned to each
     family in turn, other covariates at observed values (G-computation).
 
-    Confidence intervals use the delta method with the cluster-robust
-    covariance. Small families (at most five observations) with two thirds
-    or more of their members in a single country are flagged for geographic
-    concentration, which can make their standard errors unreliable.
+    The counterfactual mean row c is X's column means with every family
+    column 0 but the family's own, which is 1, so the prediction is c'beta
+    and, by the delta method with the cluster-robust variances, its
+    variance factor * sum_g (c'influence[g])**2. Small families (at most
+    five observations) with two thirds or more of their members in a single
+    country are flagged for geographic concentration, which can make their
+    standard errors unreliable.
     """
-    import numpy as np
-
     if design.family_by_row is None or design.family_columns is None:
         raise ValueError("marginal means require a family-model design")
-    t_crit = t_critical(fit.df)
-    families = sorted(set(design.family_by_row))
-    family_cols = sorted(design.family_columns.values())
+    family_cols = set(design.family_columns.values())
+    means = {}  # exact column means of X, family columns left out
+    for j, column in enumerate(zip(*design.X)):
+        if j not in family_cols:
+            shift, ints = _to_integers(column)
+            means[j] = Fraction(sum(ints), design.n_obs << shift)
+    base = sum(m * fit.beta[j] for j, m in means.items())
+    base_influence = [sum(m * u[j] for j, m in means.items()) for u in fit.influence]
     rows = []
-    for fam in families:
-        counterfactual = design.X.copy()
-        counterfactual[:, family_cols] = 0.0
-        if fam in design.family_columns:
-            counterfactual[:, design.family_columns[fam]] = 1.0
-        g = counterfactual.mean(axis=0)
-        predicted = float(g @ fit.beta)
-        se = float(np.sqrt(g @ fit.cov @ g))
+    for fam in sorted(set(design.family_by_row)):
+        col = design.family_columns.get(fam)
+        if col is None:
+            predicted, influence = base, base_influence
+        else:
+            predicted = base + fit.beta[col]
+            influence = [b + u[col] for b, u in zip(base_influence, fit.influence)]
         member_countries = [c for c, f in zip(design.clusters, design.family_by_row) if f == fam]
         n_members = len(member_countries)
         flags = []
@@ -500,8 +672,8 @@ def marginal_means_family(fit: RegressionFit, design: DesignMatrix) -> list[Marg
             MarginalMeansRow(
                 family=fam,
                 predicted=predicted,
-                ci_low=predicted - t_crit * se,
-                ci_high=predicted + t_crit * se,
+                variance=fit.factor * sum(x * x for x in influence),
+                t_crit=fit.t_crit,
                 n_obs=n_members,
                 flags=tuple(flags),
             )
@@ -540,14 +712,14 @@ def render_regression_text(fit: RegressionFit, title: str = "Model") -> str:
     name_width = max(len(n) for n in fit.columns if not n.startswith("Country: "))
     name_width = max(name_width, len("N Clusters"))
     lines = [f"{'':<{name_width}}  {title}"]
-    for i, name in enumerate(fit.columns):
+    for name, beta, low, high in zip(fit.columns, fit.beta, fit.ci_low, fit.ci_high):
         if name.startswith("Country: "):
             continue
-        star = "*" if fit.ci_low[i] > 0 or fit.ci_high[i] < 0 else " "
-        lines.append(f"{name:<{name_width}}  {fit.beta[i]:8.2f}{star}")
-        lines.append(f"{'':<{name_width}}  [{fit.ci_low[i]:7.2f}; {fit.ci_high[i]:7.2f}]")
-    lines.append(f"{'R^2':<{name_width}}  {fit.r2:8.2f}")
-    lines.append(f"{'Adj. R^2':<{name_width}}  {fit.adj_r2:8.2f}")
+        star = "*" if low > 0 or high < 0 else " "
+        lines.append(f"{name:<{name_width}}  {float(beta):8.2f}{star}")
+        lines.append(f"{'':<{name_width}}  [{low:7.2f}; {high:7.2f}]")
+    lines.append(f"{'R^2':<{name_width}}  {float(fit.r2):8.2f}")
+    lines.append(f"{'Adj. R^2':<{name_width}}  {float(fit.adj_r2):8.2f}")
     lines.append(f"{'Num. obs.':<{name_width}}  {fit.n_obs:8d}")
     lines.append(f"{'RMSE':<{name_width}}  {fit.rmse:8.2f}")
     lines.append(f"{'N Clusters':<{name_width}}  {fit.n_clusters:8d}")

@@ -4,8 +4,10 @@ These deliberately avoid the library's code paths: agreement coefficients
 enumerate value pairs directly instead of building a coincidence matrix,
 F1 numbers come from plain counting loops, the covariance oracles use
 explicit per-observation outer products with a pinv bread, the party and
-country aggregates build per-group document lists from a full ``Corpus``, and
-the two-rater battery goes through a ``RatingTable`` of 2N records.
+country aggregates build per-group document lists from a full ``Corpus``,
+the two-rater battery goes through a ``RatingTable`` of 2N records, and
+``qr_fit`` is the study's float fit through LAPACK's pivoted QR, which the
+exact fit replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from negcamp.errors import EvaluationJoinError, UndefinedMetric
+from negcamp.errors import EvaluationJoinError, RankDeficient, UndefinedMetric
 from negcamp.ingest import Corpus, PartyMeta, detect_retweet
 from negcamp.reliability import (
     ConfusionMatrix,
@@ -175,10 +177,41 @@ def classical_cov(X: np.ndarray, residuals: np.ndarray) -> np.ndarray:
     return sigma2 * np.linalg.pinv(X.T @ X)
 
 
+def qr_fit(X, y, columns, clusters) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, CR1 variances) in floating point: the rank check and solve
+    through a pivoted QR of X, with LAPACK's rank tolerance, and the
+    diagonal of the k x k sandwich covariance. Raises ``RankDeficient``
+    naming the columns past the numerical rank."""
+    from scipy import linalg
+
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    n, k = X.shape
+    q, r, pivots = linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag.max() * max(n, k) * np.finfo(float).eps))
+    if rank < k:
+        raise RankDeficient(sorted(columns[p] for p in pivots[rank:]))
+    beta = np.empty(k)
+    beta[pivots] = linalg.solve_triangular(r, q.T @ y)
+    residuals = y - X @ beta
+    r_inv = linalg.solve_triangular(r, np.eye(k))
+    xtx_inv = np.empty((k, k))
+    xtx_inv[np.ix_(pivots, pivots)] = r_inv @ r_inv.T
+    groups = sorted(set(clusters))
+    meat = np.zeros((k, k))
+    for g in groups:
+        rows = np.asarray(clusters) == g
+        score = X[rows].T @ residuals[rows]
+        meat += np.outer(score, score)
+    G = len(groups)
+    cov = (G / (G - 1)) * ((n - 1) / (n - k)) * xtx_inv @ meat @ xtx_inv
+    return beta, np.diag(cov)
+
+
 def within_demeaned_beta(y: np.ndarray, X: np.ndarray, groups: list[str]) -> np.ndarray:
     """Coefficients from group-demeaned OLS (no intercept, no dummies)."""
-    y = y.astype(float).copy()
-    X = X.astype(float).copy()
+    y = np.array(y, dtype=float)
+    X = np.array(X, dtype=float)
     for g in set(groups):
         rows = np.array([gi == g for gi in groups])
         y[rows] -= y[rows].mean()

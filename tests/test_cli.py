@@ -191,6 +191,35 @@ class TestAnnotateCommand:
         assert "coprus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("study", {"include_retweets": "no"}, 'include_retweets must be true or false, not "no"'),
+        ("annotate", {"failure_threshold": "x"}, 'failure_threshold must be a number, not "x"'),
+        ("annotate", {"concurrency": "8"}, 'concurrency must be an integer, not "8"'),
+    ],
+    ids=["bool-as-string", "threshold-as-string", "concurrency-as-string"],
+)
+def test_config_value_of_wrong_type_exits_2_before_input_read(
+    data_dir, golden_dir, tmp_path, capsys, monkeypatch, command, setting, message
+):
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("iter_documents", "ingest_documents", "read_labels"):
+        monkeypatch.setattr(cli, name, unread)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    inputs = {
+        "annotate": ("--mock", data_dir / "mock_responses.jsonl"),
+        "study": ("--annotations", golden_dir / "annotations.jsonl", "--party-meta", data_dir / "parties.csv"),
+    }[command]
+    code = run(command, "--config", config, "--corpus", data_dir / "corpus.jsonl", *inputs, "--out", tmp_path / "out")
+    assert code == 2
+    assert f"config error: config key {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEvaluateCommand:
     def test_fixture_reports(self, data_dir, tmp_path):
         out = tmp_path / "out"

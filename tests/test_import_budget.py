@@ -1,9 +1,9 @@
 """Start-up cost guard: each case runs in a fresh interpreter and checks
 which heavy third-party modules are in ``sys.modules`` afterwards.
 
-``annotate`` and ``evaluate`` need none of numpy, scipy or requests (the
-HTTP client loads requests itself); ``study`` needs numpy, ``scipy.linalg``
-and ``scipy.special`` but not ``scipy.stats``.
+No command needs numpy or scipy: ``study`` fits its model in exact integer
+arithmetic. ``annotate`` with ``--mock``, ``evaluate`` and ``study`` load
+none of the modules below; only the HTTP client loads requests, itself.
 """
 
 import json
@@ -50,10 +50,10 @@ def test_evaluate_loads_nothing_heavy(data_dir, golden_dir, tmp_path):
     assert loaded_after(code) == set()
 
 
-def test_study_loads_linalg_and_special_only(data_dir, golden_dir, tmp_path):
+def test_study_loads_nothing_heavy(data_dir, golden_dir, tmp_path):
     code = run_main(
         "study", "--corpus", data_dir / "corpus.jsonl", "--annotations", golden_dir / "annotations.jsonl",
         "--party-meta", data_dir / "parties.csv", "--min-tweets", "0", "--model-variant", "family",
         "--out", tmp_path,
     )
-    assert loaded_after(code) == {"numpy", "scipy", "scipy.linalg", "scipy.special"}
+    assert loaded_after(code) == set()

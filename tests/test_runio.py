@@ -1,0 +1,35 @@
+"""``canonical_float`` rounds exact values once to 12 significant digits."""
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from negcamp.runio import canonical_float
+
+RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**15)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_rational_rounding_equals_float_formatting(x):
+    """On a float's exact value it rounds as ``f"{x:.12g}"`` does."""
+    assert canonical_float(Fraction(x)) == float(f"{x:.12g}")
+
+
+@given(RATIONALS, st.fractions(min_value=0, max_value=10**6, max_denominator=10**12), st.booleans())
+def test_root_rounding_equals_80_digit_decimal(x, radicand, minus):
+    with localcontext() as ctx:
+        ctx.prec = 80
+        root = (Decimal(radicand.numerator) / Decimal(radicand.denominator)).sqrt()
+        exact = Decimal(x.numerator) / Decimal(x.denominator) + (-root if minus else root)
+        expected = float(f"{exact:.12g}")
+    assert canonical_float(x, -radicand if minus else radicand) == expected
+
+
+def test_examples():
+    assert canonical_float(Fraction(2, 3)) == 0.666666666667
+    assert canonical_float(1 + Fraction(5, 10**12)) == 1.0  # ties go to even
+    assert canonical_float(1 + Fraction(15, 10**12)) == 1.00000000002
+    assert canonical_float(0, 2) == 1.41421356237
+    assert canonical_float(1, -1) == 0.0
+    assert canonical_float(Fraction(1, 10**40), Fraction(1, 10**90)) == 1.00001e-40
