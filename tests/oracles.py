@@ -5,13 +5,15 @@ enumerate value pairs directly instead of building a coincidence matrix,
 F1 numbers come from plain counting loops, the covariance oracles use
 explicit per-observation outer products with a pinv bread, the party and
 country aggregates build per-group document lists from a full ``Corpus``,
-the two-rater battery goes through a ``RatingTable`` of 2N records, and
+the two-rater battery goes through a ``RatingTable`` of 2N records,
 ``qr_fit`` is the study's float fit through LAPACK's pivoted QR, which the
-exact fit replaced.
+exact fit replaced, and ``fraction_fit`` solves the normal equations and
+forms the sandwich in plain ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -206,6 +208,41 @@ def qr_fit(X, y, columns, clusters) -> tuple[np.ndarray, np.ndarray]:
     G = len(groups)
     cov = (G / (G - 1)) * ((n - 1) / (n - k)) * xtx_inv @ meat @ xtx_inv
     return beta, np.diag(cov)
+
+
+def fraction_fit(X, y, clusters) -> tuple[list[Fraction], list[Fraction]]:
+    """(beta, CR1 variances) in exact rationals, the plain way: Gauss-Jordan
+    on the normal equations in ``Fraction``s, then the diagonal of
+    factor * (X'X)^-1 meat (X'X)^-1 entry by entry."""
+    X = [[Fraction(x) for x in row] for row in X]
+    y = [Fraction(v) for v in y]
+    n, k = len(X), len(X[0])
+    rows = [[sum(r[a] * r[b] for r in X) for b in range(k)] + [Fraction(a == c) for c in range(k)] for a in range(k)]
+    for p in range(k):
+        pivot = next(r for r in range(p, k) if rows[r][p])
+        rows[p], rows[pivot] = rows[pivot], rows[p]
+        rows[p] = [v / rows[p][p] for v in rows[p]]
+        for r in range(k):
+            if r != p and rows[r][p]:
+                f = rows[r][p]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[p])]
+    inverse = [row[k:] for row in rows]
+    xty = [sum(r[a] * v for r, v in zip(X, y)) for a in range(k)]
+    beta = [sum(inverse[a][b] * xty[b] for b in range(k)) for a in range(k)]
+    residuals = [v - sum(x * b for x, b in zip(r, beta)) for r, v in zip(X, y)]
+    groups = sorted(set(clusters))
+    meat = [[Fraction(0)] * k for _ in range(k)]
+    for g in groups:
+        score = [sum(r[a] * e for r, e, c in zip(X, residuals, clusters) if c == g) for a in range(k)]
+        for a in range(k):
+            for b in range(k):
+                meat[a][b] += score[a] * score[b]
+    G = len(groups)
+    factor = Fraction(G * (n - 1), (G - 1) * (n - k))
+    variance = [
+        factor * sum(inverse[j][a] * meat[a][b] * inverse[b][j] for a in range(k) for b in range(k)) for j in range(k)
+    ]
+    return beta, variance
 
 
 def within_demeaned_beta(y: np.ndarray, X: np.ndarray, groups: list[str]) -> np.ndarray:

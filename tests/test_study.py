@@ -11,6 +11,7 @@ from oracles import (
     aggregate_parties_lists,
     classical_cov,
     country_negativity_lists,
+    fraction_fit,
     hc0_cov,
     qr_fit,
     within_demeaned_beta,
@@ -463,6 +464,23 @@ def test_exact_fit_agrees_with_float_qr_oracle(design_parts):
     assert np.max(np.abs(np.array(fit.beta, dtype=float) - beta)) <= 1e-9 * np.max(np.abs(beta))
     scale = max(np.max(variance), np.max(beta**2))
     assert np.max(np.abs(np.array(fit.variance, dtype=float) - variance)) <= 1e-9 * scale
+
+
+@given(float_designs())
+@settings(max_examples=50, deadline=None)
+def test_exact_fit_equals_fraction_oracle(design_parts):
+    """The integer sweeps, the scaled solve and the per-cluster influence
+    give exactly the coefficients and CR1 variances of Gauss-Jordan and the
+    k x k sandwich in plain rationals."""
+    y, X, clusters = design_parts
+    columns = [INTERCEPT_NAME] + [f"x{j}" for j in range(1, len(X[0]))]
+    try:
+        fit = fit_model(raw_design(y, X, columns, clusters))
+    except RankDeficient:
+        assume(False)
+    beta, variance = fraction_fit(X, y, clusters)
+    assert fit.beta == tuple(beta)
+    assert fit.variance == tuple(variance)
 
 
 class TestClusterRobustSe:
