@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -297,10 +298,6 @@ class AnnotationResult:
             "output_tokens": self.output_tokens,
         }
 
-    @classmethod
-    def from_record(cls, record: Mapping[str, object], from_cache: bool = False) -> "AnnotationResult":
-        return cls(*_record_fields(record), from_cache=from_cache)
-
 
 def _record_fields(record: Mapping[str, object]) -> tuple[str, int, str, str, str, int, int]:
     """An annotation record's fields in ``AnnotationResult`` order. A missing
@@ -326,6 +323,39 @@ def annotation_line(result: AnnotationResult) -> str:
         f'"label": {result.label}, "model_id": {encode_basestring(result.model_id)}, '
         f'"output_tokens": {result.output_tokens}, "prompt_hash": {encode_basestring(result.prompt_hash)}, '
         f'"raw_response": {encode_basestring(result.raw_response)}}}\n'
+    )
+
+
+# What ``annotation_line`` writes: its keys and separators, JSON strings and
+# integers (``[0-9]``, as ``\d`` matches other digits). A fullmatch gives the
+# values ``json.loads`` would; only a string with an escape needs decoding.
+_STRING = r'("[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*")'
+_INTEGER = r"(-?(?:0|[1-9][0-9]*))"
+_ANNOTATION_LINE = re.compile(
+    f'{{"doc_id": {_STRING}, "input_tokens": {_INTEGER}, "label": {_INTEGER}, "model_id": {_STRING}, '
+    f'"output_tokens": {_INTEGER}, "prompt_hash": {_STRING}, "raw_response": {_STRING}}}\n?'
+)
+
+
+def _json_string(group: str) -> str:
+    return json.loads(group) if "\\" in group else group[1:-1]
+
+
+def _decode_annotation_line(line: str) -> tuple[str, int, str, str, str, int, int] | None:
+    """``_record_fields(json.loads(line))`` for a line in ``annotation_line``'s
+    form, or None for any other line."""
+    match = _ANNOTATION_LINE.fullmatch(line)
+    if match is None:
+        return None
+    doc_id, input_tokens, label, model_id, output_tokens, prompt_hash, raw_response = match.groups()
+    return (
+        _json_string(doc_id),
+        int(label),
+        _json_string(raw_response),
+        _json_string(model_id),
+        _json_string(prompt_hash),
+        int(input_tokens),
+        int(output_tokens),
     )
 
 
@@ -358,7 +388,13 @@ class AnnotationCache:
                     break
                 complete += len(line)
                 try:
-                    result = AnnotationResult.from_record(json.loads(line), from_cache=True)
+                    try:
+                        fields = _decode_annotation_line(line.decode("utf-8"))
+                    except UnicodeDecodeError:  # left to json.loads, which decodes with surrogatepass
+                        fields = None
+                    if fields is None:
+                        fields = _record_fields(json.loads(line))
+                    result = AnnotationResult(*fields, from_cache=True)
                     if result.label != parse_label(result.raw_response):
                         raise ValueError("label disagrees with raw_response")
                 except (ValueError, KeyError, TypeError, MalformedResponse):
@@ -645,21 +681,30 @@ def read_annotations(path: str | Path) -> list[AnnotationResult]:
     results = []
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
-            if line.strip():
-                results.append(AnnotationResult.from_record(json.loads(line)))
+            fields = _decode_annotation_line(line)
+            if fields is None:
+                if not line.strip():
+                    continue
+                fields = _record_fields(json.loads(line))
+            results.append(AnnotationResult(*fields))
     return results
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
     """The ``doc_id -> label`` map of an annotations file, read without
     building ``AnnotationResult`` objects. A malformed record raises as
-    ``from_record`` does; so does a label not 0 or 1."""
+    ``read_annotations`` does; so does a label not 0 or 1."""
     labels: dict[str, int] = {}
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:
-            if line.strip():
+            match = _ANNOTATION_LINE.fullmatch(line)
+            if match is not None:  # every field checked; only the two kept are decoded
+                doc_id, label = _json_string(match[1]), int(match[3])
+            elif line.strip():
                 doc_id, label = _record_fields(json.loads(line))[:2]
-                if label not in (0, 1):
-                    raise ValueError(f"label {label} of document {doc_id!r} is not 0 or 1")
-                labels[doc_id] = label
+            else:
+                continue
+            if label not in (0, 1):
+                raise ValueError(f"label {label} of document {doc_id!r} is not 0 or 1")
+            labels[doc_id] = label
     return labels

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
 from .errors import IngestError
@@ -116,39 +117,40 @@ def detect_retweet(doc: Document) -> bool:
     return doc.is_retweet or doc.text.lstrip().startswith("RT @")
 
 
-def _validate_timestamp(value: str) -> None:
-    # RFC 3339; Python 3.10's fromisoformat lacks "Z" support.
-    normalized = value[:-1] + "+00:00" if value.endswith("Z") else value
-    datetime.fromisoformat(normalized)
+_DOCUMENT_VALUES = itemgetter(*DOCUMENT_FIELDS)
 
 
 def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str, str, str, bool]:
     """A valid record's fields in ``Document`` order; raises ValueError."""
-    missing = [k for k in DOCUMENT_FIELDS if record.get(k) is None]
-    if missing:
+    try:
+        values = _DOCUMENT_VALUES(record)
+    except KeyError:
+        values = (None,)  # a field is absent
+    if None in values:
+        missing = [k for k in DOCUMENT_FIELDS if record.get(k) is None]
         raise ValueError("missing fields: " + ", ".join(missing))
-    text = str(record["text"])
+    doc_id, text, lang, country, author, party, created_at, retweet = values
+    text = str(text)
     if not text:
         raise ValueError("empty text")
-    lang = str(record["lang"])
+    lang = str(lang)
     if lang not in ISO_LANGUAGES:
         raise ValueError(f"invalid language code {lang!r}")
-    country = str(record["country"])
+    country = str(country)
     if country not in ISO_COUNTRIES:
         raise ValueError(f"invalid country code {country!r}")
-    created_at = str(record["created_at"])
+    created_at = str(created_at)
     try:
-        _validate_timestamp(created_at)
+        # RFC 3339. The "Z" rewrite stays on Python >= 3.11 too, where it widens
+        # the accepted set: "2019-10-20Z" and "20191010Z" parse only after it.
+        datetime.fromisoformat(created_at[:-1] + "+00:00" if created_at.endswith("Z") else created_at)
     except ValueError:
         raise ValueError(f"invalid created_at timestamp {created_at!r}") from None
-    retweet = record["retweet"]
-    if isinstance(retweet, str):
-        if retweet.lower() not in ("true", "false"):
+    if retweet is not True and retweet is not False:
+        if not isinstance(retweet, str) or retweet.lower() not in ("true", "false"):
             raise ValueError(f"invalid retweet flag {retweet!r}")
         retweet = retweet.lower() == "true"
-    elif not isinstance(retweet, bool):
-        raise ValueError(f"invalid retweet flag {retweet!r}")
-    doc_id, author, party = str(record["id"]), str(record["author"]), str(record["party"])
+    doc_id, author, party = str(doc_id), str(author), str(party)
     # An ASCII string holds no surrogate, and isascii reads a flag: only a non-ASCII record is encoded.
     if not (doc_id.isascii() and text.isascii() and author.isascii() and party.isascii()):
         try:
@@ -162,58 +164,60 @@ def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str
     return doc_id, text, lang, country, author, party, created_at, retweet
 
 
-def _iter_records(path: Path, fmt: str) -> Iterator[tuple[int, Mapping[str, object] | None, str]]:
-    """Yield (line_number, record_or_None, error_reason) triples."""
-    if fmt == "jsonl":
-        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    yield lineno, None, "blank line"
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    yield lineno, None, f"invalid JSON: {exc.msg}"
-                    continue
-                if not isinstance(record, dict):
-                    yield lineno, None, "record is not an object"
-                    continue
-                yield lineno, record, ""
-    elif fmt == "csv":
-        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, row in enumerate(reader, start=2):
-                yield lineno, row, ""
-    else:
-        raise IngestError(f"unsupported corpus format {fmt!r} (expected jsonl or csv)")
+def _csv_records(fh: IO[str]) -> Iterator[tuple[int, dict[str, str | None]]]:
+    """Yield (line number, row) for each record of a CSV corpus: the
+    physical line on which the record starts, and the row as
+    ``csv.DictReader`` gives it, but for fields past the header."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    start = reader.line_num + 1
+    for row in reader:
+        if row:  # not a blank line
+            record: dict[str, str | None] = dict(zip(header, row))
+            if len(row) < len(header):
+                record.update(dict.fromkeys(header[len(row):]))
+            yield start, record
+        start = reader.line_num + 1
 
 
 def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> Iterator[Document]:
     """Yield each valid, unique corpus record as a ``Document`` in file
     order, appending a ``Rejection`` for every skipped one.
 
-    Duplicate ids keep the first occurrence and reject the later one.
+    Duplicate ids keep the first occurrence and reject the later one. A
+    JSONL rejection names its line; a CSV one the line its record starts on.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"corpus file not found: {path}")
+    if fmt not in ("jsonl", "csv"):
+        raise IngestError(f"unsupported corpus format {fmt!r} (expected jsonl or csv)")
+    jsonl = fmt == "jsonl"
     seen: set[str] = set()
-    for lineno, record, reason in _iter_records(path, fmt):
-        if record is None:
-            rejections.append(Rejection(line=lineno, reason=reason))
-            continue
-        try:
-            fields = _parse_record(record)
-        except ValueError as exc:
-            doc_id = str(record.get("id", "")).encode("utf-8", "backslashreplace").decode("utf-8")
-            rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=doc_id))
-            continue
-        doc_id = fields[0]
-        if doc_id in seen:
-            rejections.append(Rejection(line=lineno, reason=f"duplicate id {doc_id!r}", doc_id=doc_id))
-            continue
-        seen.add(doc_id)
-        yield Document._make(fields)
+    with path.open(encoding="utf-8", errors="surrogateescape", newline=None if jsonl else "") as fh:
+        for lineno, record in enumerate(fh, start=1) if jsonl else _csv_records(fh):
+            if jsonl:
+                try:
+                    record = json.loads(record)
+                except json.JSONDecodeError as exc:  # a blank line fails to decode too
+                    reason = f"invalid JSON: {exc.msg}" if record.strip() else "blank line"
+                    rejections.append(Rejection(line=lineno, reason=reason))
+                    continue
+                if not isinstance(record, dict):
+                    rejections.append(Rejection(line=lineno, reason="record is not an object"))
+                    continue
+            try:
+                fields = _parse_record(record)
+            except ValueError as exc:
+                doc_id = str(record.get("id", "")).encode("utf-8", "backslashreplace").decode("utf-8")
+                rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=doc_id))
+                continue
+            doc_id = fields[0]
+            if doc_id in seen:
+                rejections.append(Rejection(line=lineno, reason=f"duplicate id {doc_id!r}", doc_id=doc_id))
+                continue
+            seen.add(doc_id)
+            yield Document._make(fields)
 
 
 def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:

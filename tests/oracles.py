@@ -8,18 +8,26 @@ country aggregates build per-group document lists from a full ``Corpus``,
 the two-rater battery goes through a ``RatingTable`` of 2N records,
 ``qr_fit`` is the study's float fit through LAPACK's pivoted QR, which the
 exact fit replaced, and ``fraction_fit`` solves the normal equations and
-forms the sandwich in plain ``Fraction`` arithmetic.
+forms the sandwich in plain ``Fraction`` arithmetic. ``parse_record``,
+``iter_jsonl_documents`` and ``read_labels`` are the corpus and label
+readers as they were before the one-pass record check and the annotation
+line pattern: every record through ``json.loads`` and a field-by-field
+check.
 """
 
 from __future__ import annotations
 
+import json
+from datetime import datetime
 from fractions import Fraction
-from typing import Mapping
+from pathlib import Path
+from typing import Iterator, Mapping
 
 import numpy as np
 
+from negcamp.codes import ISO_COUNTRIES, ISO_LANGUAGES
 from negcamp.errors import EvaluationJoinError, RankDeficient, UndefinedMetric
-from negcamp.ingest import Corpus, PartyMeta, detect_retweet
+from negcamp.ingest import DOCUMENT_FIELDS, Corpus, Document, PartyMeta, Rejection, detect_retweet
 from negcamp.reliability import (
     ConfusionMatrix,
     GroupedReport,
@@ -324,3 +332,103 @@ def country_negativity_lists(corpus: Corpus, labels: Mapping[str, int]) -> list[
             )
         )
     return rows
+
+
+def _validate_timestamp(value: str) -> None:
+    normalized = value[:-1] + "+00:00" if value.endswith("Z") else value
+    datetime.fromisoformat(normalized)
+
+
+def parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str, str, str, bool]:
+    """A valid corpus record's fields in ``Document`` order; raises ValueError."""
+    missing = [k for k in DOCUMENT_FIELDS if record.get(k) is None]
+    if missing:
+        raise ValueError("missing fields: " + ", ".join(missing))
+    text = str(record["text"])
+    if not text:
+        raise ValueError("empty text")
+    lang = str(record["lang"])
+    if lang not in ISO_LANGUAGES:
+        raise ValueError(f"invalid language code {lang!r}")
+    country = str(record["country"])
+    if country not in ISO_COUNTRIES:
+        raise ValueError(f"invalid country code {country!r}")
+    created_at = str(record["created_at"])
+    try:
+        _validate_timestamp(created_at)
+    except ValueError:
+        raise ValueError(f"invalid created_at timestamp {created_at!r}") from None
+    retweet = record["retweet"]
+    if isinstance(retweet, str):
+        if retweet.lower() not in ("true", "false"):
+            raise ValueError(f"invalid retweet flag {retweet!r}")
+        retweet = retweet.lower() == "true"
+    elif not isinstance(retweet, bool):
+        raise ValueError(f"invalid retweet flag {retweet!r}")
+    doc_id, author, party = str(record["id"]), str(record["author"]), str(record["party"])
+    if not (doc_id.isascii() and text.isascii() and author.isascii() and party.isascii()):
+        try:
+            (doc_id + text + author + party).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            offset = exc.start
+            for name, value in (("id", doc_id), ("text", text), ("author", author), ("party", party)):
+                if offset < len(value):
+                    raise ValueError(f"invalid {name}: a lone surrogate or bytes that are not UTF-8") from None
+                offset -= len(value)
+    return doc_id, text, lang, country, author, party, created_at, retweet
+
+
+def iter_jsonl_documents(path: Path, rejections: list[Rejection]) -> Iterator[Document]:
+    """``iter_documents`` for a JSONL corpus: each line's record, if any,
+    through ``parse_record``, then the duplicate-id rule."""
+    seen: set[str] = set()
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                rejections.append(Rejection(line=lineno, reason="blank line"))
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                rejections.append(Rejection(line=lineno, reason=f"invalid JSON: {exc.msg}"))
+                continue
+            if not isinstance(record, dict):
+                rejections.append(Rejection(line=lineno, reason="record is not an object"))
+                continue
+            try:
+                fields = parse_record(record)
+            except ValueError as exc:
+                doc_id = str(record.get("id", "")).encode("utf-8", "backslashreplace").decode("utf-8")
+                rejections.append(Rejection(line=lineno, reason=str(exc), doc_id=doc_id))
+                continue
+            if fields[0] in seen:
+                rejections.append(Rejection(line=lineno, reason=f"duplicate id {fields[0]!r}", doc_id=fields[0]))
+                continue
+            seen.add(fields[0])
+            yield Document._make(fields)
+
+
+def read_labels(path: Path) -> dict[str, int]:
+    """The ``doc_id -> label`` map of an annotations file: every non-blank
+    line through ``json.loads``; a missing field raises KeyError, a
+    non-integer label ValueError or TypeError, a label not 0 or 1
+    ValueError."""
+    labels: dict[str, int] = {}
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                record = json.loads(line)
+                fields = (
+                    str(record["doc_id"]),
+                    int(record["label"]),
+                    str(record["raw_response"]),
+                    str(record["model_id"]),
+                    str(record["prompt_hash"]),
+                    int(record["input_tokens"]),
+                    int(record["output_tokens"]),
+                )
+                doc_id, label = fields[:2]
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} of document {doc_id!r} is not 0 or 1")
+                labels[doc_id] = label
+    return labels

@@ -12,11 +12,15 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from helpers import StubResponse, StubSession, completion, make_corpus, make_doc
 import negcamp.annotate
 from negcamp.annotate import (
+    _ANNOTATION_LINE,
+    _decode_annotation_line,
+    _record_fields,
     AnnotationCache,
     AnnotationResult,
     HttpTransport,
@@ -274,6 +278,42 @@ class TestAnnotationCache:
         assert reloaded.get(r1.prompt_hash, "d1").label == 1
         assert reloaded.get(r3.prompt_hash, "d3").label == 0
         assert path.read_text(encoding="utf-8").count("\n") == 2
+
+    def test_load_of_mixed_lines(self, tmp_path, caplog):
+        """Lines the pattern reads and lines only ``json.loads`` reads load
+        alike; unreadable ones are skipped and a torn final line is cut off."""
+        def line(doc_id, label, raw_response, input_tokens=40):
+            return annotation_line(AnnotationResult(doc_id, label, raw_response, "m", "h", input_tokens, 1)).encode("utf-8")
+
+        escaped = {"doc_id": "d3\u00e9", "label": 1, "raw_response": " 1!", "model_id": "m", "prompt_hash": "h",
+                   "input_tokens": 9, "output_tokens": 1}
+        complete = b"".join([
+            line("d1", 1, "1"),
+            line('d"2\\\u00e9\U0001F5F3', 0, "0.\n\t"),  # canonical, with escapes
+            json.dumps(escaped).encode("ascii") + b"\n",  # other key order, \u escapes
+            line("d4X", 1, "1").replace(b"X", b"\xff"),  # not UTF-8: skipped
+            line("d5X", 1, "1").replace(b"X", b"\xed\xa0\x80"),  # an encoded surrogate, read with surrogatepass
+            line("d6", 1, "0"),  # label disagrees with raw_response: skipped
+            line("d1", 0, "0", input_tokens=41),  # a later entry for a key replaces the earlier one
+        ])
+        path = tmp_path / "cache.jsonl"
+        path.write_bytes(complete + b'{"doc_id": "d7", "label": 1')
+        caplog.set_level("WARNING", logger="negcamp.annotate")
+        cache = AnnotationCache(path)
+        expected = [
+            AnnotationResult("d1", 0, "0", "m", "h", 41, 1, from_cache=True),
+            AnnotationResult('d"2\\\u00e9\U0001F5F3', 0, "0.\n\t", "m", "h", 40, 1, from_cache=True),
+            AnnotationResult("d3\u00e9", 1, " 1!", "m", "h", 9, 1, from_cache=True),
+            AnnotationResult("d5\ud800", 1, "1", "m", "h", 40, 1, from_cache=True),
+        ]
+        assert len(cache) == len(expected)
+        assert [cache.get(r.prompt_hash, r.doc_id) for r in expected] == expected
+        assert [r.getMessage() for r in caplog.records] == [
+            "cache cache.jsonl: skipping unreadable entry",
+            "cache cache.jsonl: skipping unreadable entry",
+            "cache cache.jsonl: truncating a torn final line",
+        ]
+        assert path.read_bytes() == complete
 
     def test_compaction_preserves_entries(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -655,6 +695,82 @@ class TestAnnotationLine:
         result = AnnotationResult(**fields)
         expected = json.dumps(result.to_record(), sort_keys=True, ensure_ascii=False) + "\n"
         assert annotation_line(result) == expected
+
+
+class TestAnnotationLineDecoder:
+    @given(
+        doc_id=ESCAPE_PRONE, label=st.integers(), raw_response=ESCAPE_PRONE, model_id=ESCAPE_PRONE,
+        prompt_hash=ESCAPE_PRONE, input_tokens=st.integers(), output_tokens=st.integers(),
+    )
+    def test_pattern_reads_every_encoded_line(self, **fields):
+        """Every line ``annotation_line`` writes takes the pattern, so a change
+        to the template cannot silently send every line to ``json.loads``."""
+        line = annotation_line(AnnotationResult(**fields))
+        expected = _record_fields(json.loads(line))
+        assert _ANNOTATION_LINE.fullmatch(line) is not None
+        assert _decode_annotation_line(line) == expected
+        assert _decode_annotation_line(line[:-1]) == expected
+
+
+ANNOTATION_FIELDS = st.fixed_dictionaries({
+    "doc_id": ESCAPE_PRONE, "label": st.integers(0, 1) | st.integers(-1, 2), "raw_response": ESCAPE_PRONE, "model_id": ESCAPE_PRONE,
+    "prompt_hash": ESCAPE_PRONE, "input_tokens": st.integers(-2, 2**64), "output_tokens": st.integers(0, 9),
+})
+
+
+@st.composite
+def annotation_lines(draw):
+    """One annotations-file line: ``annotation_line``'s form, or the same
+    record as other JSON, or a line that does not hold a valid record."""
+    record = draw(ANNOTATION_FIELDS)
+    canonical = annotation_line(AnnotationResult(**record))
+    kind = draw(st.sampled_from(
+        ["canonical", "reordered", "spaced", "label", "number", "string", "missing", "trailing", "blank", "crlf"]
+    ))
+    if kind == "canonical":
+        return canonical
+    if kind == "reordered":
+        return json.dumps(dict(reversed(record.items())), ensure_ascii=draw(st.booleans())) + "\n"
+    if kind == "spaced":
+        return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(" , ", " :  ")) + "\n"
+    if kind == "label":
+        record["label"] = draw(st.sampled_from([True, False, 1.0, 0.0, 1.5, "1", None, [1]]))
+        return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+    if kind == "number":  # integers JSON writes otherwise or not at all
+        number = draw(st.sampled_from(["01", "-0", "1e0", "1.", "+1", "0x1", "\u0661", "1_0"]))
+        return canonical.replace(f'"label": {record["label"]}', f'"label": {number}', 1)
+    if kind == "string":  # a raw control character or an escape JSON does or does not have
+        inner = draw(st.sampled_from(["\t", "\x01", "\x7f", "\\x41", "\\u12", "\\U0041", "\\/", "\\ud800", "\\'"]))
+        return canonical.replace('"raw_response": "', '"raw_response": "' + inner, 1)
+    if kind == "missing":
+        del record[draw(st.sampled_from(sorted(record)))]
+        return json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n"
+    if kind == "trailing":
+        return canonical[:-1] + draw(st.sampled_from([" ", "\t", " {}", "x", "}", ",", "\u2028"])) + "\n"
+    if kind == "blank":
+        return draw(st.sampled_from(["\n", "  \n", "\t\n", "\u00a0\n"]))
+    return canonical[:-1] + "\r\n"
+
+
+class TestReadLabelsParity:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(annotation_lines(), max_size=6), final_newline=st.booleans())
+    def test_same_labels_or_same_error_as_oracle(self, tmp_path_factory, lines, final_newline):
+        """``read_labels`` returns the oracle's dict, or raises the same
+        exception type with the same message."""
+        text = "".join(lines)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        path = tmp_path_factory.mktemp("labels") / "annotations.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except Exception as exc:  # compared, not handled
+                return type(exc), str(exc)
+
+        assert outcome(read_labels) == outcome(oracles.read_labels)
 
 
 class TestAnnotationIo:

@@ -1,12 +1,17 @@
+import csv
+import io
 import json
+import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from helpers import make_doc
 from negcamp.errors import IngestError
 from negcamp.ingest import (
+    DOCUMENT_FIELDS,
     Corpus,
     detect_retweet,
     gold_label_map,
@@ -98,6 +103,39 @@ class TestIngestDocuments:
         result = ingest_documents(path, fmt="csv")
         assert len(result.corpus) == 2
         assert [d.is_retweet for d in result.corpus] == [False, True]
+
+    def test_csv_rejection_names_the_line_its_record_starts_on(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "id,text,lang,country,author,party,created_at,retweet\n"
+            'd1,"two\nlines",en,GB,a1,p1,2020-01-01T00:00:00Z,false\n'  # lines 2-3
+            "d2,,en,GB,a1,p1,2020-01-01T00:00:00Z,false\n"  # line 4
+            "\n"
+            'd3,"three\nmore\nlines",xx,GB,a1,p1,2020-01-01T00:00:00Z,false\n'  # lines 6-8
+            "d4,hi,en,ZZ,a1,p1,2020-01-01T00:00:00Z,false\n",
+            encoding="utf-8",
+        )
+        result = ingest_documents(path, fmt="csv")
+        assert [d.text for d in result.corpus] == ["two\nlines"]
+        assert [(r.line, r.doc_id) for r in result.rejections] == [(4, "d2"), (6, "d3"), (9, "d4")]
+
+    @pytest.mark.parametrize(
+        "created_at",
+        [
+            "2019-10-20Z",
+            pytest.param(
+                "20191010Z",
+                marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="fromisoformat reads basic dates from 3.11"),
+            ),
+        ],
+    )
+    def test_z_suffixed_dates_accepted(self, tmp_path, created_at):
+        # Accepted only through the "Z" -> "+00:00" rewrite: a bare fromisoformat rejects both.
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [record("d1", created_at=created_at)])
+        result = ingest_documents(path)
+        assert result.rejections == ()
+        assert [d.created_at for d in result.corpus] == [created_at]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
@@ -226,6 +264,86 @@ class TestIterDocuments:
         documents = list(iter_documents(path, "jsonl", rejections))
         assert [(doc.id, doc.country) for doc in documents] == [("d3", "GB"), ("d1", "DE"), ("d2", "GB")]
         assert [(r.line, r.doc_id) for r in rejections] == [(4, "d1")]
+
+
+# Field values that pass or fail each check: absent (...), None, non-str
+# values, bad codes and timestamps, retweet variants and surrogate escapes.
+ODD_VALUES = st.sampled_from([..., None, "", 0, 1, 2.5, True, False, [], {}, [1], {"a": 1}, "\ud800", "x\udcff", "\u00e9"])
+FIELD_VALUES = {
+    "id": st.sampled_from(["d1", "d2", "d\u00e9", "d \ud83d\uddf3"]) | ODD_VALUES,
+    "text": st.sampled_from(["hi", "RT @x hi", " caf\u00e9"]) | ODD_VALUES | st.text(max_size=5),
+    "lang": st.sampled_from(["en", "de", "xx", "EN"]) | ODD_VALUES,
+    "country": st.sampled_from(["GB", "DE", "ZZ", "gb"]) | ODD_VALUES,
+    "author": st.sampled_from(["a1", "\u00f1"]) | ODD_VALUES,
+    "party": st.sampled_from(["p1", ""]) | ODD_VALUES,
+    "created_at": st.sampled_from(
+        ["2020-01-01T00:00:00Z", "2021-07-01T10:30:00+02:00", "2019-10-20Z", "20191010Z", "2020-13-01", "yesterday",
+         "2020-01-01T00:00:00ZZ", "Z", "2020-01-01 00:00"]
+    ) | ODD_VALUES,
+    "retweet": st.sampled_from(["true", "FALSE", "True", "maybe", "1", 0, 1]) | ODD_VALUES,
+}
+JSON_RECORDS = st.fixed_dictionaries({name: values for name, values in FIELD_VALUES.items()}).map(
+    lambda r: {k: v for k, v in r.items() if v is not ...}
+)
+JSONL_LINE = JSON_RECORDS.map(json.dumps) | st.sampled_from(["", "  ", "{oops", "[1, 2]", '"text"', "{}", "null"])
+
+
+class TestOracleParity:
+    """The one-pass record check against the field-by-field oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(JSONL_LINE, max_size=12))
+    def test_jsonl_documents_and_rejections_equal_oracle(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        rejections, expected_rejections = [], []
+        documents = list(iter_documents(path, "jsonl", rejections))
+        assert documents == list(oracles.iter_jsonl_documents(path, expected_rejections))
+        assert rejections == expected_rejections
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from(["d1", "d2", "hi", "two\nlines", "en", "xx", "GB", "", "p1", "true", "no",
+                                      "2020-01-01T00:00:00Z", "a,b", 'say "hi"']), max_size=10)
+            | st.just([]),  # a blank line
+            max_size=10,
+        ),
+        header=st.just(list(DOCUMENT_FIELDS)) | st.permutations(DOCUMENT_FIELDS),
+        short_header=st.booleans(),
+    )
+    def test_csv_documents_and_rejections_equal_oracle(self, tmp_path_factory, rows, header, short_header):
+        """Documents, reasons and ids as ``csv.DictReader`` rows give them
+        through the oracle; lines where each record starts in the text written."""
+        header = header[:-1] if short_header else header
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        starts, line = [], 2
+        writer.writerow(header)
+        for row in rows:
+            if row:
+                starts.append(line)
+            before = buffer.tell()
+            writer.writerow(row)
+            line += buffer.getvalue()[before:].count("\n")
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8")
+        expected, seen = [], set()
+        documents = []
+        for start, record in zip(starts, csv.DictReader(io.StringIO(buffer.getvalue(), newline=""))):
+            try:
+                fields = oracles.parse_record(record)
+            except ValueError as exc:
+                expected.append((start, str(exc), str(record.get("id", ""))))
+                continue
+            if fields[0] in seen:
+                expected.append((start, f"duplicate id {fields[0]!r}", fields[0]))
+                continue
+            seen.add(fields[0])
+            documents.append(fields)
+        rejections = []
+        assert list(iter_documents(path, "csv", rejections)) == documents
+        assert [(r.line, r.reason, r.doc_id) for r in rejections] == expected
 
 
 class TestIngestGold:
