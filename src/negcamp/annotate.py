@@ -15,15 +15,14 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
 from datetime import timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render_system, render_user
 from .errors import AuthenticationError, ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
-from .ingest import Corpus, Document
+from .ingest import Corpus, Document, decode_json_line
 
 if TYPE_CHECKING:
     import requests
@@ -48,10 +47,7 @@ _TRAILING_PUNCTUATION = ".,;:!?)\"'`…。"
 _RETRYABLE_STATUSES = frozenset({408, 409, 429, *range(500, 600)})
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Request parameters for one model. Temperature is pinned to 0."""
-
+class _ModelConfigFields(NamedTuple):
     model_id: str
     temperature: float = 0.0
     max_output_tokens: int = 4
@@ -59,11 +55,19 @@ class ModelConfig:
     price_per_1m_input: float = 0.0
     price_per_1m_output: float = 0.0
 
-    def __post_init__(self) -> None:
+
+class ModelConfig(_ModelConfigFields):
+    """Request parameters for one model. Temperature is pinned to 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "ModelConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.temperature != 0.0:
             raise ConfigError("temperature must be 0 for deterministic outputs")
         if self.max_output_tokens < 1:
             raise ConfigError("max_output_tokens must be at least 1")
+        return self
 
     @classmethod
     def for_model(cls, model_id: str, endpoint_url: str | None = None) -> "ModelConfig":
@@ -77,8 +81,7 @@ class ModelConfig:
         )
 
 
-@dataclass(frozen=True)
-class TransportReply:
+class TransportReply(NamedTuple):
     text: str
     input_tokens: int = 0
     output_tokens: int = 0
@@ -224,9 +227,9 @@ class MockTransport:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():
                     try:
-                        record = json.loads(line)
+                        record = decode_json_line(line)
                         responses[record["doc_id"]] = record["response"]
-                    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing field
+                    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # KeyError: a missing field
                         raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from None
         return cls(responses)
 
@@ -252,8 +255,7 @@ class MockTransport:
         )
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(NamedTuple):
     """Bounded exponential backoff with jitter for transport errors."""
 
     attempts: int = 5
@@ -274,8 +276,7 @@ class RetryPolicy:
 MOCK_RETRY = RetryPolicy(base_delay=0.0, max_delay=0.0)
 
 
-@dataclass(frozen=True)
-class AnnotationResult:
+class AnnotationResult(NamedTuple):
     doc_id: str
     label: int
     raw_response: str
@@ -412,7 +413,7 @@ class AnnotationCache:
         result = self._entries.get((prompt_hash, doc_id))
         if result is None or result.from_cache:  # loaded entries are stored as hits
             return result
-        return replace(result, from_cache=True)
+        return result._replace(from_cache=True)
 
     def put(self, result: AnnotationResult) -> None:
         line = annotation_line(result)
@@ -542,8 +543,7 @@ def classify_one(
     return result
 
 
-@dataclass(frozen=True)
-class AnnotationFailure:
+class AnnotationFailure(NamedTuple):
     doc_id: str
     kind: str  # "transport" or "label"
     detail: str
@@ -552,8 +552,7 @@ class AnnotationFailure:
         return {"doc_id": self.doc_id, "kind": self.kind, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     """Results and failures of one batch run, both sorted by doc id."""
 
     results: tuple[AnnotationResult, ...]
@@ -592,9 +591,10 @@ def annotate_batch(
     in id order under one lock, then render it (the system text once per
     distinct context) and classify it; the calling thread waits for them.
     Each document yields exactly one result or one recorded failure; both
-    are sorted by document id, so output is the same for any limit. Any other exception in a worker, or an interrupt in the
-    calling thread, stops dispatch: no worker takes another document, and
-    the first such exception is re-raised once the in-flight calls return.
+    are sorted by document id, so output is the same for any limit. Any
+    other exception in a worker, or an interrupt in the calling thread,
+    stops dispatch: no worker takes another document, and the first such
+    exception is re-raised once the in-flight calls return.
     """
     if concurrency_limit < 1:
         raise ConfigError("concurrency_limit must be at least 1")

@@ -20,9 +20,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .annotate import (
@@ -39,7 +38,7 @@ from .annotate import (
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents
+from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents, json_limit_reason
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -67,8 +66,7 @@ EXIT_DESIGN = 5
 _MODEL_TITLES = {ModelVariant.MODEL1: "Model 1", ModelVariant.MODEL2: "Model 2", ModelVariant.FAMILY: "Family model"}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved settings for one command invocation."""
 
     out: Path
@@ -136,7 +134,7 @@ def _check_config_type(name: str, value: object) -> None:
     elif name == "failure_threshold":
         expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
-        nullable = RunConfig.__dataclass_fields__[name].default is None
+        nullable = name in RunConfig._field_defaults and RunConfig._field_defaults[name] is None
         expected, ok = "a string" + (" or null" if nullable else ""), isinstance(value, str) or (nullable and value is None)
     if not ok:
         raise ConfigError(f"config key {name} must be {expected}, not {json.dumps(value)}")
@@ -147,17 +145,19 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             file_settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {json_limit_reason(exc)}") from None
         if not isinstance(file_settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_settings) - set(RunConfig.__dataclass_fields__)
+        unknown = set(file_settings) - set(RunConfig._fields)
         if unknown:
             raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
         for name, value in file_settings.items():
             _check_config_type(name, value)
         settings.update(file_settings)
-    for name in RunConfig.__dataclass_fields__:
+    for name in RunConfig._fields:
         value = getattr(args, name, None)
         if value is not None:
             settings[name] = value
@@ -180,7 +180,7 @@ def _input_entry(path: Path, **extra: object) -> dict[str, object]:
 
 def _write_rejections(config: RunConfig, rejections: Sequence[Rejection]) -> None:
     if rejections:
-        write_text(config.out / "rejections.jsonl", "".join(stable_json_dumps(asdict(r)) + "\n" for r in rejections))
+        write_text(config.out / "rejections.jsonl", "".join(stable_json_dumps(r._asdict()) + "\n" for r in rejections))
         logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
 
 

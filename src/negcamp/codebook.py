@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
-from .ingest import Document
+from .ingest import Document, json_limit_reason
 
 OUTPUT_INSTRUCTION = "Answer with a single character: 0 or 1."
 
@@ -33,8 +32,7 @@ class CodebookVariant(str, Enum):
     ADJUSTED = "adjusted"
 
 
-@dataclass(frozen=True)
-class PromptVariant:
+class PromptVariant(NamedTuple):
     """One cell of the context-level x codebook-variant grid."""
 
     context_level: ContextLevel = ContextLevel.NO_CONTEXT
@@ -55,23 +53,28 @@ class PromptVariant:
         return f"{self.context_level.value}:{self.codebook_variant.value}"
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """A coding definition plus instructions and optional labeled examples."""
-
+class _CodebookFields(NamedTuple):
     name: str
     definition_text: str
     instructions: str
     labeled_examples: tuple[tuple[str, int], ...] = ()
     output_instruction: str = OUTPUT_INSTRUCTION
 
-    def __post_init__(self) -> None:
+
+class Codebook(_CodebookFields):
+    """A coding definition plus instructions and optional labeled examples."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> "Codebook":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.definition_text:
             raise ConfigError(f"codebook {self.name!r}: empty definition")
         if self.labeled_examples:
             seen = {label for _, label in self.labeled_examples}
             if seen != {0, 1}:
                 raise ConfigError(f"codebook {self.name!r}: examples must include both labels")
+        return self
 
     def digest(self) -> str:
         """Stable hex digest of the full codebook content."""
@@ -89,8 +92,7 @@ class Codebook:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     """System and user message for one document, with a stable 64-bit hash."""
 
     system_text: str
@@ -227,8 +229,10 @@ def load_codebook(path: str | Path) -> Codebook:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load codebook {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot load codebook {path}: {json_limit_reason(exc)}") from None
     try:
         examples = tuple((str(t), int(l)) for t, l in data.get("examples", []))
         return Codebook(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import pairwise
 from pathlib import Path
@@ -50,15 +49,13 @@ class Document(NamedTuple):
     is_retweet: bool
 
 
-@dataclass(frozen=True)
-class GoldLabel:
+class GoldLabel(NamedTuple):
     doc_id: str
     coder_id: str
     label: int
 
 
-@dataclass(frozen=True)
-class PartyMeta:
+class PartyMeta(NamedTuple):
     party_id: str
     country: str
     lrgen: float
@@ -68,8 +65,7 @@ class PartyMeta:
     display_name: str
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     """A skipped corpus record: source line number plus the reason."""
 
     line: int
@@ -99,12 +95,11 @@ class Corpus:
         return f"{type(self).__name__}({len(self)} documents)"
 
 
-@dataclass(frozen=True)
-class DocumentIngest:
+class DocumentIngest(NamedTuple):
     """Result of a corpus ingestion: the valid records plus the skip report."""
 
     corpus: Corpus
-    rejections: tuple[Rejection, ...] = field(default=())
+    rejections: tuple[Rejection, ...] = ()
 
 
 def detect_retweet(doc: Document) -> bool:
@@ -118,6 +113,28 @@ def detect_retweet(doc: Document) -> bool:
 
 
 _DOCUMENT_VALUES = itemgetter(*DOCUMENT_FIELDS)
+_scan_once = json.JSONDecoder().scan_once
+
+
+def decode_json_line(line: str) -> object:
+    """``json.loads(line)``, skipping its pure-Python wrapper when it can: a
+    value that starts the line and is followed only by JSON whitespace is
+    the C scanner's. Any other line, one with a BOM or leading whitespace
+    included, goes to ``json.loads`` for its exact value or error."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)  # trailing data: its error
+    return value
+
+
+def json_limit_reason(exc: ValueError | RecursionError) -> str:
+    """Fixed wording for JSON that ``json.loads`` refuses past Python's
+    limits, an integer with too many digits or nesting too deep; Python's
+    own message embeds the interpreter's digit limit."""
+    return "nested too deeply" if isinstance(exc, RecursionError) else "an integer with too many digits"
 
 
 def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str, str, str, bool]:
@@ -198,10 +215,13 @@ def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
         for lineno, record in enumerate(fh, start=1) if jsonl else _csv_records(fh):
             if jsonl:
                 try:
-                    record = json.loads(record)
+                    record = decode_json_line(record)
                 except json.JSONDecodeError as exc:  # a blank line fails to decode too
                     reason = f"invalid JSON: {exc.msg}" if record.strip() else "blank line"
                     rejections.append(Rejection(line=lineno, reason=reason))
+                    continue
+                except (ValueError, RecursionError) as exc:
+                    rejections.append(Rejection(line=lineno, reason="invalid JSON: " + json_limit_reason(exc)))
                     continue
                 if not isinstance(record, dict):
                     rejections.append(Rejection(line=lineno, reason="record is not an object"))

@@ -13,20 +13,32 @@ from the 2x2 confusion counts, so a comparison is computed from those alone.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import EvaluationJoinError, UndefinedMetric
 
 
-@dataclass(frozen=True)
 class RatingTable:
     """Binary ratings of items by raters, kept as ``patterns``: the number of
     items per (n_0, n_1), how many 0 and 1 labels an item got."""
 
-    patterns: Counter[tuple[int, int]]
+    __slots__ = ("patterns",)
+
+    def __init__(self, patterns: Counter[tuple[int, int]]):
+        object.__setattr__(self, "patterns", patterns)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.patterns == other.patterns
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(patterns={self.patterns!r})"
 
     @classmethod
     def from_records(cls, records: Iterable[tuple[str, str, int]]) -> "RatingTable":
@@ -43,8 +55,7 @@ class RatingTable:
         return cls(Counter(map(tuple, counts.values())))
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """Binary counts with class 1 (presence) as positive."""
 
     tp: int = 0
@@ -91,14 +102,13 @@ def confusion(gold: Mapping[str, int], predicted: Mapping[str, int]) -> Confusio
     return ConfusionMatrix(**_counts_by_group(gold, predicted, {})[None])
 
 
-@dataclass(frozen=True)
-class F1Scores:
+class F1Scores(NamedTuple):
     f1_0: float
     f1_1: float
     f1_macro: float
     f1_weighted: float
     accuracy: float
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
 
 def _class_f1(tp: int, fp: int, fn: int) -> tuple[Fraction, bool]:
@@ -199,8 +209,7 @@ def brennan_prediger(table: RatingTable | ConfusionMatrix, q: int = 2) -> float:
     return (p_o - chance) / (1.0 - chance)
 
 
-@dataclass(frozen=True)
-class ReliabilityReport:
+class ReliabilityReport(NamedTuple):
     """The full metric battery for one comparison (one report row)."""
 
     acc: float
@@ -213,10 +222,10 @@ class ReliabilityReport:
     supp_0: int
     supp_1: int
     n: int
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, object]:
-        return {**asdict(self), "flags": list(self.flags)}
+        return {**self._asdict(), "flags": list(self.flags)}
 
 
 def compare(gold: Mapping[str, int], predicted: Mapping[str, int]) -> ReliabilityReport:
@@ -248,8 +257,7 @@ def _report(cm: ConfusionMatrix) -> ReliabilityReport:
     )
 
 
-@dataclass(frozen=True)
-class GroupedReport:
+class GroupedReport(NamedTuple):
     """Pooled report plus one row per group, ordered by group key."""
 
     pooled: ReliabilityReport

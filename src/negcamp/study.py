@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
@@ -51,25 +50,29 @@ def extremism(lrgen: float) -> float:
     return abs(5.0 - lrgen)
 
 
-@dataclass(frozen=True)
-class AggregationFilters:
+class _AggregationFiltersFields(NamedTuple):
+    exclude_retweets: bool = True
+    min_tweets: int = 500
+    exclude_independents: bool = True
+
+
+class AggregationFilters(_AggregationFiltersFields):
     """The study's inclusion rules for party aggregates.
 
     ``min_tweets`` applies to a party's total message count (before the
     original/retweet split); 500 is the study default.
     """
 
-    exclude_retweets: bool = True
-    min_tweets: int = 500
-    exclude_independents: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> "AggregationFilters":
+        self = super().__new__(cls, *args, **kwargs)
         if self.min_tweets < 0:
             raise ValueError("min_tweets must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class PartyAggregate:
+class PartyAggregate(NamedTuple):
     """Per-party message counts and percent-negative.
 
     With retweets excluded (the default) ``n_original`` counts original
@@ -85,7 +88,7 @@ class PartyAggregate:
     n_negative_original: int
     pct_negative: float
     pct_negative_retweets: float | None = None
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
 
 class DocumentCounts(NamedTuple):
@@ -238,8 +241,13 @@ def _invert_normal(X: Sequence[Sequence[float]], columns: Sequence[str]) -> Norm
     )
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
+def _repr_but_inverse(self: DesignMatrix | OlsFit) -> str:
+    """The record's repr without its last field, ``inverse``."""
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
+    return f"{type(self).__name__}({fields})"
+
+
+class DesignMatrix(NamedTuple):
     """Response, predictors (rows of X), and cluster ids for one regression."""
 
     y: tuple[float, ...]
@@ -252,8 +260,22 @@ class DesignMatrix:
     family_by_row: tuple[str, ...] | None = None
     family_columns: Mapping[str, int] | None = None
     reference_family: str | None = None
-    # build_design's rank check, reused by fit_ols
-    inverse: NormalInverse | None = field(default=None, repr=False, compare=False)
+    # build_design's rank check, reused by fit_ols; left out of == and repr
+    inverse: NormalInverse | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
+
+    __repr__ = _repr_but_inverse
 
     @property
     def n_obs(self) -> int:
@@ -344,8 +366,7 @@ def build_design(
     )
 
 
-@dataclass(frozen=True)
-class OlsFit:
+class OlsFit(NamedTuple):
     """Exact least-squares coefficients and fit statistics.
 
     ``rmse`` follows the regression-table convention sqrt(RSS / (n - k)).
@@ -359,7 +380,9 @@ class OlsFit:
     rss: Fraction
     n_obs: int
     n_params: int
-    inverse: NormalInverse = field(repr=False)
+    inverse: NormalInverse  # left out of repr
+
+    __repr__ = _repr_but_inverse
 
     @property
     def rmse(self) -> float:
@@ -394,8 +417,7 @@ def fit_ols(design: DesignMatrix) -> OlsFit:
     )
 
 
-@dataclass(frozen=True)
-class ClusterCovariance:
+class ClusterCovariance(NamedTuple):
     """CR1 variances of the coefficients from each cluster's influence on
     them, ``influence[g] = (X'X)^-1 X_g' e_g``."""
 
@@ -456,8 +478,7 @@ def _written(estimate: Fraction, variance: Fraction, t_crit: float) -> tuple[flo
     )
 
 
-@dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(NamedTuple):
     """Coefficient table plus fit statistics, Table-4 shaped, held exactly:
     ``beta``, ``variance``, ``r2``, ``adj_r2``, ``rss`` and ``fitted`` are
     rationals. ``se``, ``ci_low``, ``ci_high`` and ``rmse`` are float views;
@@ -606,8 +627,7 @@ def fit_model(design: DesignMatrix) -> RegressionFit:
     )
 
 
-@dataclass(frozen=True)
-class MarginalMeansRow:
+class MarginalMeansRow(NamedTuple):
     """One family's average prediction, exact, with the rational variance
     of its standard error; ``ci_low`` and ``ci_high`` are float views."""
 
@@ -616,7 +636,7 @@ class MarginalMeansRow:
     variance: Fraction
     t_crit: float
     n_obs: int
-    flags: tuple[str, ...] = field(default=())
+    flags: tuple[str, ...] = ()
 
     @property
     def ci_low(self) -> float:
@@ -681,8 +701,7 @@ def marginal_means_family(fit: RegressionFit, design: DesignMatrix) -> list[Marg
     return rows
 
 
-@dataclass(frozen=True)
-class CountryNegativity:
+class CountryNegativity(NamedTuple):
     """Percent negative per country, split by original messages and
     retweets; the retweet share is absent (not zero) without retweets."""
 

@@ -1,11 +1,13 @@
-"""Builders for inline documents, the synthetic study fixtures and a stub
-HTTP session."""
+"""Builders for inline documents, the synthetic study fixtures, a stub
+HTTP session, and JSON past Python's decoding limits."""
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
+import pytest
 
 from negcamp.ingest import Corpus, Document, PartyMeta
 from negcamp.study import PartyAggregate, extremism
@@ -19,6 +21,18 @@ FAMILIES = (
     "agrarian", "christian_democratic", "confessional", "conservative", "green",
     "liberal", "no_family", "radical_left", "radical_right", "regionalist", "socialist",
 )
+
+# JSON that json.loads refuses past Python's limits, each with the fixed
+# reason negcamp gives for it: an integer longer than the int-conversion
+# digit limit, and nesting deeper than the recursion limit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+JSON_PAST_LIMITS = [
+    pytest.param(
+        '{"text": ' + "1" * (_DIGIT_LIMIT + 1) + "}", "an integer with too many digits", id="digits",
+        marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no integer-digit limit"),
+    ),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="depth"),
+]
 
 TRUE_BETA = {"intercept": 17.0, "govt": -6.0, "antielite": 1.5, "extremism": 1.6}
 

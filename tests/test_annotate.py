@@ -7,7 +7,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -251,7 +250,7 @@ class TestAnnotationCache:
             result = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
             hit = cache.get(result.prompt_hash, "d1")
         assert result.from_cache is False
-        assert hit == replace(result, from_cache=True)
+        assert hit == result._replace(from_cache=True)
         reloaded = AnnotationCache(path)
         assert reloaded.get(result.prompt_hash, "d1") is reloaded.get(result.prompt_hash, "d1") == hit
 

@@ -3,7 +3,7 @@ import json
 import pytest
 import requests
 
-from helpers import StubResponse, StubSession, synthetic_study_files
+from helpers import JSON_PAST_LIMITS, StubResponse, StubSession, synthetic_study_files
 from negcamp import cli
 from negcamp.annotate import MockTransport
 from negcamp.cli import main
@@ -173,8 +173,9 @@ class TestAnnotateCommand:
             ('{"response": "1"}', "KeyError: 'doc_id'"),
             ('{"doc_id": "d002"}', "KeyError: 'response'"),
             ('["d002", "1"]', "TypeError"),
+            ("[" * 100_000 + "]" * 100_000, "RecursionError"),
         ],
-        ids=["bad-json", "no-doc-id", "no-response", "not-object"],
+        ids=["bad-json", "no-doc-id", "no-response", "not-object", "too-deep"],
     )
     def test_malformed_mock_exits_2(self, data_dir, tmp_path, capsys, bad_line, error):
         first = (data_dir / "mock_responses.jsonl").read_text(encoding="utf-8").splitlines()[0]
@@ -183,6 +184,20 @@ class TestAnnotateCommand:
         code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--mock", mock, "--out", tmp_path / "out")
         assert code == 2
         assert f"config error: malformed record in mock file {mock}: line 2: {error}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, reason", JSON_PAST_LIMITS)
+    def test_config_file_past_json_limits_exits_2(self, tmp_path, capsys, text, reason):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text, encoding="utf-8")
+        assert run("annotate", "--config", config_path, "--out", tmp_path / "out") == 2
+        assert f"config error: cannot read config file {config_path}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, reason", JSON_PAST_LIMITS)
+    def test_codebook_file_past_json_limits_exits_2(self, data_dir, tmp_path, capsys, text, reason):
+        codebook = tmp_path / "codebook.json"
+        codebook.write_text(text, encoding="utf-8")
+        assert annotate_fixture(data_dir, tmp_path / "out", extra=("--codebook", codebook)) == 2
+        assert f"config error: cannot load codebook {codebook}: {reason}" in capsys.readouterr().err
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"

@@ -18,11 +18,12 @@ SRC = Path(negcamp.__file__).resolve().parents[1]
 HEAVY = ("numpy", "scipy", "scipy.linalg", "scipy.special", "scipy.stats", "requests")
 
 
-def loaded_after(code):
-    """Run ``code`` in a fresh interpreter; the heavy modules it loaded."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+def loaded_after(code, modules=HEAVY, options=()):
+    """Run ``code`` in a fresh interpreter started with ``options``; which of
+    ``modules`` it loaded."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, *options, "-c", probe], env=env, capture_output=True, text=True, check=True)
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
@@ -32,6 +33,11 @@ def run_main(*argv):
 
 def test_package_and_cli_import_light():
     assert loaded_after("import negcamp, negcamp.cli") == set()
+
+
+def test_cli_import_loads_no_dataclasses():
+    # Records are NamedTuples; -S keeps site hooks from loading either module.
+    assert loaded_after("import negcamp.cli", ("dataclasses", "inspect"), ("-S",)) == set()
 
 
 def test_annotate_mock_loads_nothing_heavy(data_dir, tmp_path):

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import make_doc
+from helpers import JSON_PAST_LIMITS, make_doc
 from negcamp.errors import IngestError
 from negcamp.ingest import (
     DOCUMENT_FIELDS,
     Corpus,
+    Rejection,
     detect_retweet,
     gold_label_map,
     ingest_documents,
@@ -91,6 +92,14 @@ class TestIngestDocuments:
         result = ingest_documents(path)
         assert len(result.corpus) == 1
         assert result.rejections[0].line == 2
+
+    @pytest.mark.parametrize("line, reason", JSON_PAST_LIMITS)
+    def test_line_past_json_limits_rejected(self, tmp_path, line, reason):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(record("d1")) + "\n" + line + "\n", encoding="utf-8")
+        result = ingest_documents(path)
+        assert [doc.id for doc in result.corpus] == ["d1"]
+        assert result.rejections == (Rejection(line=2, reason="invalid JSON: " + reason),)
 
     def test_csv_format(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -285,7 +294,10 @@ FIELD_VALUES = {
 JSON_RECORDS = st.fixed_dictionaries({name: values for name, values in FIELD_VALUES.items()}).map(
     lambda r: {k: v for k, v in r.items() if v is not ...}
 )
-JSONL_LINE = JSON_RECORDS.map(json.dumps) | st.sampled_from(["", "  ", "{oops", "[1, 2]", '"text"', "{}", "null"])
+JSON_LINE = JSON_RECORDS.map(json.dumps)
+# A record after a BOM or leading whitespace, or before trailing whitespace or data.
+PADDED_LINE = st.tuples(st.sampled_from(["", "\ufeff", " \t"]), JSON_LINE, st.sampled_from(["", " \t", " x", "{}"])).map("".join)
+JSONL_LINE = JSON_LINE | PADDED_LINE | st.sampled_from(["", "  ", "{oops", "[1, 2]", '"text"', "{}", "null"])
 
 
 class TestOracleParity:
