@@ -260,20 +260,8 @@ class DesignMatrix(NamedTuple):
     family_by_row: tuple[str, ...] | None = None
     family_columns: Mapping[str, int] | None = None
     reference_family: str | None = None
-    # build_design's rank check, reused by fit_ols; left out of == and repr
+    # build_design's rank check, reused by fit_ols; left out of repr
     inverse: NormalInverse | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    def __ne__(self, other: object) -> bool:
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
     __repr__ = _repr_but_inverse
 

@@ -250,7 +250,7 @@ class TestAnnotationCache:
             result = classify_one(MockTransport({"d1": "1"}), CONFIG, prompt_for("d1"), "d1", cache=cache, retry=MOCK_RETRY)
             hit = cache.get(result.prompt_hash, "d1")
         assert result.from_cache is False
-        assert hit == result._replace(from_cache=True)
+        assert type(hit) is AnnotationResult and hit == result._replace(from_cache=True)
         reloaded = AnnotationCache(path)
         assert reloaded.get(result.prompt_hash, "d1") is reloaded.get(result.prompt_hash, "d1") == hit
 
