@@ -229,7 +229,7 @@ class MockTransport:
                     try:
                         record = decode_json_line(line)
                         responses[record["doc_id"]] = record["response"]
-                    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # KeyError: a missing field
+                    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing field
                         raise ValueError(f"line {lineno}: {type(exc).__name__}: {exc}") from None
         return cls(responses)
 
@@ -328,36 +328,17 @@ def annotation_line(result: AnnotationResult) -> str:
 
 
 # What ``annotation_line`` writes: its keys and separators, JSON strings and
-# integers (``[0-9]``, as ``\d`` matches other digits). A fullmatch gives the
-# values ``json.loads`` would; only a string with an escape needs decoding.
+# integers (``[0-9]``, as ``\d`` matches other digits), for ``read_labels``,
+# which decodes 2 of the 7 fields. A fullmatch gives the values ``json.loads``
+# would; only a string with an escape needs decoding. An integer has at most
+# 640 digits, the least int-conversion limit Python allows, so ``int`` takes
+# any that matches; a longer one goes to ``decode_json_line`` with the rest.
 _STRING = r'("[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*")'
-_INTEGER = r"(-?(?:0|[1-9][0-9]*))"
+_INTEGER = r"(-?(?:0|[1-9][0-9]{0,639}))"
 _ANNOTATION_LINE = re.compile(
     f'{{"doc_id": {_STRING}, "input_tokens": {_INTEGER}, "label": {_INTEGER}, "model_id": {_STRING}, '
     f'"output_tokens": {_INTEGER}, "prompt_hash": {_STRING}, "raw_response": {_STRING}}}\n?'
 )
-
-
-def _json_string(group: str) -> str:
-    return json.loads(group) if "\\" in group else group[1:-1]
-
-
-def _decode_annotation_line(line: str) -> tuple[str, int, str, str, str, int, int] | None:
-    """``_record_fields(json.loads(line))`` for a line in ``annotation_line``'s
-    form, or None for any other line."""
-    match = _ANNOTATION_LINE.fullmatch(line)
-    if match is None:
-        return None
-    doc_id, input_tokens, label, model_id, output_tokens, prompt_hash, raw_response = match.groups()
-    return (
-        _json_string(doc_id),
-        int(label),
-        _json_string(raw_response),
-        _json_string(model_id),
-        _json_string(prompt_hash),
-        int(input_tokens),
-        int(output_tokens),
-    )
 
 
 class AnnotationCache:
@@ -390,12 +371,11 @@ class AnnotationCache:
                 complete += len(line)
                 try:
                     try:
-                        fields = _decode_annotation_line(line.decode("utf-8"))
-                    except UnicodeDecodeError:  # left to json.loads, which decodes with surrogatepass
-                        fields = None
-                    if fields is None:
-                        fields = _record_fields(json.loads(line))
-                    result = AnnotationResult(*fields, from_cache=True)
+                        record = decode_json_line(line.decode("utf-8"))
+                    except (UnicodeDecodeError, json.JSONDecodeError):
+                        # as json.loads decodes bytes, so a line after a BOM or with an encoded lone surrogate loads
+                        record = decode_json_line(line.decode(json.detect_encoding(line), "surrogatepass"))
+                    result = AnnotationResult(*_record_fields(record), from_cache=True)
                     if result.label != parse_label(result.raw_response):
                         raise ValueError("label disagrees with raw_response")
                 except (ValueError, KeyError, TypeError, MalformedResponse):
@@ -678,16 +658,11 @@ def write_annotations(path: str | Path, results: Iterable[AnnotationResult]) -> 
 
 
 def read_annotations(path: str | Path) -> list[AnnotationResult]:
-    results = []
+    """The records of an annotations file, skipping blank lines. A malformed
+    record raises KeyError, ValueError or TypeError, as ``_record_fields``
+    and ``decode_json_line`` do."""
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            fields = _decode_annotation_line(line)
-            if fields is None:
-                if not line.strip():
-                    continue
-                fields = _record_fields(json.loads(line))
-            results.append(AnnotationResult(*fields))
-    return results
+        return [AnnotationResult(*_record_fields(decode_json_line(line))) for line in fh if not line.isspace()]
 
 
 def read_labels(path: str | Path) -> dict[str, int]:
@@ -699,9 +674,10 @@ def read_labels(path: str | Path) -> dict[str, int]:
         for line in fh:
             match = _ANNOTATION_LINE.fullmatch(line)
             if match is not None:  # every field checked; only the two kept are decoded
-                doc_id, label = _json_string(match[1]), int(match[3])
+                doc_id, label = match[1], int(match[3])
+                doc_id = decode_json_line(doc_id) if "\\" in doc_id else doc_id[1:-1]
             elif line.strip():
-                doc_id, label = _record_fields(json.loads(line))[:2]
+                doc_id, label = _record_fields(decode_json_line(line))[:2]
             else:
                 continue
             if label not in (0, 1):

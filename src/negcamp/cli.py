@@ -38,7 +38,7 @@ from .annotate import (
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents, json_limit_reason
+from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents, load_json_file
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -143,12 +143,7 @@ def _check_config_type(name: str, value: object) -> None:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     settings: dict[str, object] = {}
     if args.config is not None:
-        try:
-            file_settings = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {json_limit_reason(exc)}") from None
+        file_settings = load_json_file(args.config, f"cannot read config file {args.config}")
         if not isinstance(file_settings, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(file_settings) - set(RunConfig._fields)
@@ -167,9 +162,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if settings.get(name) is not None:
             settings[name] = Path(str(settings[name]))
     try:
-        return RunConfig(**settings)  # type: ignore[arg-type]
+        config = RunConfig(**settings)  # type: ignore[arg-type]
     except TypeError as exc:
         raise ConfigError(str(exc)) from None
+    if not 0.0 <= config.failure_threshold <= 1.0:  # NaN fails both comparisons
+        raise ConfigError(f"failure_threshold must be a number in [0, 1], not {config.failure_threshold!r}")
+    return config
 
 
 def _input_entry(path: Path, **extra: object) -> dict[str, object]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple
 
 from .errors import ConfigError
-from .ingest import Document, json_limit_reason
+from .ingest import Document, load_json_file
 
 OUTPUT_INSTRUCTION = "Answer with a single character: 0 or 1."
 
@@ -227,12 +227,9 @@ def load_codebook(path: str | Path) -> Codebook:
     (list of ``[text, label]`` pairs), optional ``output_instruction``.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load codebook {path}: {exc}") from None
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot load codebook {path}: {json_limit_reason(exc)}") from None
+    data = load_json_file(path, f"cannot load codebook {path}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"invalid codebook file {path}: not a JSON object")
     try:
         examples = tuple((str(t), int(l)) for t, l in data.get("examples", []))
         return Codebook(

@@ -8,8 +8,9 @@ Corpus records that fail validation are skipped and reported with their line
 number instead of aborting the run, so large ingestions stay resumable and
 auditable; that includes a record whose id, text, author or party is not
 valid UTF-8 (undecodable bytes, or a lone surrogate escape). Gold and
-party-metadata files are small curated inputs and raise on the first
-invalid row, an undecodable byte included.
+party-metadata files are small curated inputs, read as a CSV corpus is, and
+raise on the first invalid row, an undecodable byte included; errors name
+the physical line on which the row starts.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from datetime import datetime
 from itertools import pairwise
 from pathlib import Path
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
-from .errors import IngestError
+from .errors import ConfigError, IngestError
 
 logger = logging.getLogger(__name__)
 
@@ -120,21 +121,34 @@ def decode_json_line(line: str) -> object:
     """``json.loads(line)``, skipping its pure-Python wrapper when it can: a
     value that starts the line and is followed only by JSON whitespace is
     the C scanner's. Any other line, one with a BOM or leading whitespace
-    included, goes to ``json.loads`` for its exact value or error."""
+    included, goes to ``json.loads`` for its exact value or error. JSON past
+    Python's limits raises ``ValueError`` in fixed wording, ``an integer
+    with too many digits`` or ``nested too deeply``, in place of Python's
+    message, which embeds its digit limit, or its ``RecursionError``. Every
+    JSON text negcamp reads is decoded here."""
     try:
         value, end = _scan_once(line, 0)
+        if not line[end:].strip(" \t\n\r"):
+            return value
     except (StopIteration, ValueError, RecursionError):  # StopIteration: no value at 0
-        return json.loads(line)
-    if line[end:].strip(" \t\n\r"):
-        return json.loads(line)  # trailing data: its error
-    return value
+        pass
+    try:
+        return json.loads(line)  # trailing data fails here with its error
+    except json.JSONDecodeError:
+        raise
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    except ValueError:  # the one other error json.loads raises for a str
+        raise ValueError("an integer with too many digits") from None
 
 
-def json_limit_reason(exc: ValueError | RecursionError) -> str:
-    """Fixed wording for JSON that ``json.loads`` refuses past Python's
-    limits, an integer with too many digits or nesting too deep; Python's
-    own message embeds the interpreter's digit limit."""
-    return "nested too deeply" if isinstance(exc, RecursionError) else "an integer with too many digits"
+def load_json_file(path: str | Path, context: str) -> object:
+    """The JSON value a settings file holds; ``ConfigError`` prefixed with
+    ``context`` if the file cannot be read, is not UTF-8 or is not JSON."""
+    try:
+        return decode_json_line(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError too
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str, str, str, bool]:
@@ -181,12 +195,12 @@ def _parse_record(record: Mapping[str, object]) -> tuple[str, str, str, str, str
     return doc_id, text, lang, country, author, party, created_at, retweet
 
 
-def _csv_records(fh: IO[str]) -> Iterator[tuple[int, dict[str, str | None]]]:
-    """Yield (line number, row) for each record of a CSV corpus: the
-    physical line on which the record starts, and the row as
-    ``csv.DictReader`` gives it, but for fields past the header."""
-    reader = csv.reader(fh)
-    header = next(reader, [])
+def _csv_records(reader: Iterator[list[str]], header: Sequence[str]) -> Iterator[tuple[int, dict[str, str | None]]]:
+    """Yield (line number, row) for each record that ``reader``, a
+    ``csv.reader`` past the header row, has left: the physical line on which
+    the record starts, and the row keyed by ``header``, with None for a
+    field a short row lacks and without fields past the header. Blank lines
+    are skipped."""
     start = reader.line_num + 1
     for row in reader:
         if row:  # not a blank line
@@ -212,7 +226,12 @@ def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
     jsonl = fmt == "jsonl"
     seen: set[str] = set()
     with path.open(encoding="utf-8", errors="surrogateescape", newline=None if jsonl else "") as fh:
-        for lineno, record in enumerate(fh, start=1) if jsonl else _csv_records(fh):
+        if jsonl:
+            records = enumerate(fh, start=1)
+        else:
+            reader = csv.reader(fh)
+            records = _csv_records(reader, next(reader, []))
+        for lineno, record in records:
             if jsonl:
                 try:
                     record = decode_json_line(record)
@@ -220,8 +239,8 @@ def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
                     reason = f"invalid JSON: {exc.msg}" if record.strip() else "blank line"
                     rejections.append(Rejection(line=lineno, reason=reason))
                     continue
-                except (ValueError, RecursionError) as exc:
-                    rejections.append(Rejection(line=lineno, reason="invalid JSON: " + json_limit_reason(exc)))
+                except ValueError as exc:  # past Python's limits
+                    rejections.append(Rejection(line=lineno, reason=f"invalid JSON: {exc}"))
                     continue
                 if not isinstance(record, dict):
                     rejections.append(Rejection(line=lineno, reason="record is not an object"))
@@ -248,20 +267,20 @@ def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:
     return DocumentIngest(corpus=corpus, rejections=tuple(rejections))
 
 
-def _csv_rows(path: str | Path, header: tuple[str, ...], kind: str) -> Iterator[tuple[str, int, dict[str, str]]]:
+def _csv_rows(path: str | Path, header: tuple[str, ...], kind: str) -> Iterator[tuple[str, int, dict[str, str | None]]]:
     """Yield (file name, line number, row) for each row of a curated CSV
-    file, raising ``IngestError`` for a missing file, a wrong header or a
-    row with bytes that are not UTF-8."""
+    file, as ``_csv_records`` reads a corpus, raising ``IngestError`` for a
+    missing file, a wrong header or a row with bytes that are not UTF-8."""
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"{kind} file not found: {path}")
     with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != header:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != header:
             raise IngestError(f"{path.name}: expected header {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _csv_records(reader, header):
             try:
-                "".join(v for v in row.values() if isinstance(v, str)).encode("utf-8")
+                "".join(v for v in row.values() if v is not None).encode("utf-8")
             except UnicodeEncodeError:
                 raise IngestError(f"{path.name} line {lineno}: bytes that are not UTF-8") from None
             yield path.name, lineno, row

@@ -9,7 +9,8 @@ counts per (party, country, retweet, label), which ``aggregate_parties`` and
 The regression is OLS on percentage outcomes (0-100) with country dummies.
 Clustered covariances use the CR1 small-sample factor (G/(G-1))*((N-1)/(N-k))
 and confidence intervals use a t distribution with G-1 degrees of freedom;
-both choices are configurable at the call sites that need them tested.
+both are fixed, as neither ``cluster_robust_se`` nor ``fit_model`` takes an
+option for them.
 
 The fit is exact. Every response and predictor is a float or a 0/1 dummy,
 so each column of X, and y, scales by a power of two to integers, and X'X is

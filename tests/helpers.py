@@ -25,11 +25,11 @@ FAMILIES = (
 # JSON that json.loads refuses past Python's limits, each with the fixed
 # reason negcamp gives for it: an integer longer than the int-conversion
 # digit limit, and nesting deeper than the recursion limit.
-_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 JSON_PAST_LIMITS = [
     pytest.param(
-        '{"text": ' + "1" * (_DIGIT_LIMIT + 1) + "}", "an integer with too many digits", id="digits",
-        marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no integer-digit limit"),
+        '{"text": ' + "1" * (DIGIT_LIMIT + 1) + "}", "an integer with too many digits", id="digits",
+        marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no integer-digit limit"),
     ),
     pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="depth"),
 ]

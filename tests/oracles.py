@@ -12,7 +12,9 @@ forms the sandwich in plain ``Fraction`` arithmetic. ``parse_record``,
 ``iter_jsonl_documents`` and ``read_labels`` are the corpus and label
 readers as they were before the one-pass record check and the annotation
 line pattern: every record through ``json.loads`` and a field-by-field
-check.
+check. ``read_annotations`` and ``load_cache`` are the annotation and cache
+readers as they were before they shared ``decode_json_line``: every line
+through ``json.loads``, a cache line as bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from negcamp.codes import ISO_COUNTRIES, ISO_LANGUAGES
-from negcamp.errors import EvaluationJoinError, RankDeficient, UndefinedMetric
+from negcamp.annotate import AnnotationResult, parse_label
+from negcamp.errors import EvaluationJoinError, MalformedResponse, RankDeficient, UndefinedMetric
 from negcamp.ingest import DOCUMENT_FIELDS, Corpus, Document, PartyMeta, Rejection, detect_retweet
 from negcamp.reliability import (
     ConfusionMatrix,
@@ -432,3 +435,45 @@ def read_labels(path: Path) -> dict[str, int]:
                     raise ValueError(f"label {label} of document {doc_id!r} is not 0 or 1")
                 labels[doc_id] = label
     return labels
+
+
+def annotation_fields(record: Mapping[str, object]) -> tuple[str, int, str, str, str, int, int]:
+    return (
+        str(record["doc_id"]),
+        int(record["label"]),
+        str(record["raw_response"]),
+        str(record["model_id"]),
+        str(record["prompt_hash"]),
+        int(record["input_tokens"]),
+        int(record["output_tokens"]),
+    )
+
+
+def read_annotations(path: Path) -> list[AnnotationResult]:
+    """Every non-blank line of an annotations file through ``json.loads``; a
+    missing field raises KeyError, a non-integer label or token count
+    ValueError or TypeError."""
+    with path.open(encoding="utf-8") as fh:
+        return [AnnotationResult(*annotation_fields(json.loads(line))) for line in fh if line.strip()]
+
+
+def load_cache(path: Path) -> tuple[dict[tuple[str, str], AnnotationResult], int]:
+    """A cache file's entries, keyed by (prompt_hash, doc_id), the last line
+    for a key winning, and the length of its complete lines, which loading
+    keeps. Each complete line goes to ``json.loads`` as bytes; one that
+    fails, or whose label is not ``parse_label(raw_response)``, is skipped."""
+    entries: dict[tuple[str, str], AnnotationResult] = {}
+    complete = 0
+    with path.open("rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            complete += len(line)
+            try:
+                result = AnnotationResult(*annotation_fields(json.loads(line)), from_cache=True)
+                if result.label != parse_label(result.raw_response):
+                    raise ValueError("label disagrees with raw_response")
+            except (ValueError, KeyError, TypeError, MalformedResponse):
+                continue
+            entries[(result.prompt_hash, result.doc_id)] = result
+    return entries, complete

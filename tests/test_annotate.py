@@ -14,11 +14,10 @@ import requests
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import StubResponse, StubSession, completion, make_corpus, make_doc
+from helpers import DIGIT_LIMIT, JSON_PAST_LIMITS, StubResponse, StubSession, completion, make_corpus, make_doc
 import negcamp.annotate
 from negcamp.annotate import (
     _ANNOTATION_LINE,
-    _decode_annotation_line,
     _record_fields,
     AnnotationCache,
     AnnotationResult,
@@ -279,7 +278,7 @@ class TestAnnotationCache:
         assert path.read_text(encoding="utf-8").count("\n") == 2
 
     def test_load_of_mixed_lines(self, tmp_path, caplog):
-        """Lines the pattern reads and lines only ``json.loads`` reads load
+        """Canonical lines and the same records in other JSON forms load
         alike; unreadable ones are skipped and a torn final line is cut off."""
         def line(doc_id, label, raw_response, input_tokens=40):
             return annotation_line(AnnotationResult(doc_id, label, raw_response, "m", "h", input_tokens, 1)).encode("utf-8")
@@ -703,12 +702,14 @@ class TestAnnotationLineDecoder:
     )
     def test_pattern_reads_every_encoded_line(self, **fields):
         """Every line ``annotation_line`` writes takes the pattern, so a change
-        to the template cannot silently send every line to ``json.loads``."""
+        to the template cannot silently send every line ``read_labels`` reads
+        to ``decode_json_line``; the groups it decodes hold the id and label."""
         line = annotation_line(AnnotationResult(**fields))
-        expected = _record_fields(json.loads(line))
-        assert _ANNOTATION_LINE.fullmatch(line) is not None
-        assert _decode_annotation_line(line) == expected
-        assert _decode_annotation_line(line[:-1]) == expected
+        doc_id, label = _record_fields(json.loads(line))[:2]
+        for text in (line, line[:-1]):
+            match = _ANNOTATION_LINE.fullmatch(text)
+            assert match is not None
+            assert (json.loads(match[1]), int(match[3])) == (doc_id, label)
 
 
 ANNOTATION_FIELDS = st.fixed_dictionaries({
@@ -717,11 +718,17 @@ ANNOTATION_FIELDS = st.fixed_dictionaries({
 })
 
 
+# Records whose label often agrees with their response, as a cache entry must.
+CACHE_FIELDS = ANNOTATION_FIELDS.map(
+    lambda record: dict(record, raw_response=str(record["label"])) if record["label"] in (0, 1) else record
+) | ANNOTATION_FIELDS
+
+
 @st.composite
-def annotation_lines(draw):
+def annotation_lines(draw, fields=ANNOTATION_FIELDS):
     """One annotations-file line: ``annotation_line``'s form, or the same
     record as other JSON, or a line that does not hold a valid record."""
-    record = draw(ANNOTATION_FIELDS)
+    record = draw(fields)
     canonical = annotation_line(AnnotationResult(**record))
     kind = draw(st.sampled_from(
         ["canonical", "reordered", "spaced", "label", "number", "string", "missing", "trailing", "blank", "crlf"]
@@ -751,6 +758,14 @@ def annotation_lines(draw):
     return canonical[:-1] + "\r\n"
 
 
+def outcome(read, path):
+    """What ``read(path)`` returns, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
 class TestReadLabelsParity:
     @settings(max_examples=150, deadline=None)
     @given(lines=st.lists(annotation_lines(), max_size=6), final_newline=st.booleans())
@@ -762,14 +777,107 @@ class TestReadLabelsParity:
             text = text.removesuffix("\n")
         path = tmp_path_factory.mktemp("labels") / "annotations.jsonl"
         path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert outcome(read_labels, path) == outcome(oracles.read_labels, path)
 
-        def outcome(read):
-            try:
-                return read(path)
-            except Exception as exc:  # compared, not handled
-                return type(exc), str(exc)
 
-        assert outcome(read_labels) == outcome(oracles.read_labels)
+def entry_bytes(doc_id):
+    return annotation_line(AnnotationResult(doc_id, 1, "1", "m", "h", 40, 1)).encode("utf-8", "surrogatepass")
+
+
+# Files both readers must take as their oracles do: a line that starts with
+# a BOM, an encoded lone surrogate, bytes that are not UTF-8 and a torn
+# final line, each after a plain entry.
+READER_CASES = {
+    "bom": entry_bytes("d1") + b"\xef\xbb\xbf" + entry_bytes("d2"),
+    "lone-surrogate": entry_bytes("d1") + entry_bytes("d2\ud800"),
+    "not-utf8": entry_bytes("d1") + entry_bytes("d2X").replace(b"X", b"\xff"),
+    "torn": entry_bytes("d1") + b'{"doc_id": "d2", "label":',
+}
+
+
+class TestReadAnnotationsParity:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(annotation_lines(), max_size=6), final_newline=st.booleans())
+    def test_same_records_or_same_error_as_oracle(self, tmp_path_factory, lines, final_newline):
+        text = "".join(lines)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        path = tmp_path_factory.mktemp("annotations") / "annotations.jsonl"
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        assert outcome(read_annotations, path) == outcome(oracles.read_annotations, path)
+
+    @pytest.mark.parametrize("data", READER_CASES.values(), ids=READER_CASES.keys())
+    def test_edge_cases_as_oracle(self, tmp_path, data):
+        path = tmp_path / "annotations.jsonl"
+        path.write_bytes(data)
+        assert outcome(read_annotations, path) == outcome(oracles.read_annotations, path)
+
+
+def assert_cache_loads_as_oracle(path, data):
+    path.write_bytes(data)
+    expected, kept = oracles.load_cache(path)
+    cache = AnnotationCache(path)
+    assert len(cache) == len(expected)
+    for key, result in expected.items():
+        hit = cache.get(*key)
+        assert type(hit) is AnnotationResult and hit == result
+    assert path.read_bytes() == data[:kept]
+    return expected
+
+
+class TestCacheLoadParity:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(annotation_lines(CACHE_FIELDS), max_size=6), final_newline=st.booleans())
+    def test_same_entries_and_truncation_as_oracle(self, tmp_path_factory, lines, final_newline):
+        text = "".join(lines)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+        assert_cache_loads_as_oracle(path, text.encode("utf-8", "surrogatepass"))
+
+    @pytest.mark.parametrize(
+        "data, doc_ids",
+        list(zip(READER_CASES.values(), [{"d1", "d2"}, {"d1", "d2\ud800"}, {"d1"}, {"d1"}])),
+        ids=READER_CASES.keys(),
+    )
+    def test_edge_cases_as_oracle(self, tmp_path, data, doc_ids):
+        entries = assert_cache_loads_as_oracle(tmp_path / "cache.jsonl", data)
+        assert {doc_id for _, doc_id in entries} == doc_ids
+
+
+class TestLinesPastJsonLimits:
+    """A line past Python's JSON limits is a malformed record in an
+    annotations file and an unreadable entry in a cache, reported in
+    ``decode_json_line``'s fixed wording."""
+
+    LINES = [
+        *JSON_PAST_LIMITS,
+        pytest.param(
+            entry_bytes("d2").decode().replace('"label": 1', '"label": 1' + "0" * DIGIT_LIMIT), "an integer with too many digits",
+            id="canonical-label-digits", marks=JSON_PAST_LIMITS[0].marks,
+        ),
+        pytest.param(
+            entry_bytes("d2").decode().replace('"input_tokens": 40', '"input_tokens": 4' + "0" * DIGIT_LIMIT),
+            "an integer with too many digits", id="canonical-tokens-digits", marks=JSON_PAST_LIMITS[0].marks,
+        ),
+    ]
+
+    @pytest.mark.parametrize("line, reason", LINES)
+    @pytest.mark.parametrize("read", [read_annotations, read_labels], ids=["annotations", "labels"])
+    def test_annotations_file_raises_fixed_reason(self, tmp_path, read, line, reason):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(entry_bytes("d1").decode() + line.rstrip("\n") + "\n", encoding="utf-8")
+        assert outcome(read, path) == (ValueError, reason)
+
+    @pytest.mark.parametrize("line, reason", LINES)
+    def test_cache_entry_skipped(self, tmp_path, caplog, line, reason):
+        path = tmp_path / "cache.jsonl"
+        data = entry_bytes("d1") + line.rstrip("\n").encode() + b"\n" + entry_bytes("d3")
+        path.write_bytes(data)
+        cache = AnnotationCache(path)
+        assert len(cache) == 2 and cache.get("h", "d1") is not None and cache.get("h", "d3") is not None
+        assert [r.getMessage() for r in caplog.records] == ["cache cache.jsonl: skipping unreadable entry"]
+        assert path.read_bytes() == data
 
 
 class TestAnnotationIo:

@@ -173,9 +173,10 @@ class TestAnnotateCommand:
             ('{"response": "1"}', "KeyError: 'doc_id'"),
             ('{"doc_id": "d002"}', "KeyError: 'response'"),
             ('["d002", "1"]', "TypeError"),
-            ("[" * 100_000 + "]" * 100_000, "RecursionError"),
+            ("[" * 100_000 + "]" * 100_000, "ValueError: nested too deeply"),
+            ('{"doc_id": "d002", "response": ' + "1" * 5_000 + "}", "ValueError: an integer with too many digits"),
         ],
-        ids=["bad-json", "no-doc-id", "no-response", "not-object", "too-deep"],
+        ids=["bad-json", "no-doc-id", "no-response", "not-object", "too-deep", "too-many-digits"],
     )
     def test_malformed_mock_exits_2(self, data_dir, tmp_path, capsys, bad_line, error):
         first = (data_dir / "mock_responses.jsonl").read_text(encoding="utf-8").splitlines()[0]
@@ -198,6 +199,34 @@ class TestAnnotateCommand:
         codebook.write_text(text, encoding="utf-8")
         assert annotate_fixture(data_dir, tmp_path / "out", extra=("--codebook", codebook)) == 2
         assert f"config error: cannot load codebook {codebook}: {reason}" in capsys.readouterr().err
+
+    def test_cache_line_nested_too_deeply_skipped(self, data_dir, golden_dir, tmp_path, caplog):
+        golden = (golden_dir / "annotations.jsonl").read_text(encoding="utf-8")
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text("[" * 100_000 + "]" * 100_000 + "\n" + golden, encoding="utf-8")
+        assert annotate_fixture(data_dir, tmp_path / "out", extra=("--cache", cache)) == 0
+        assert (tmp_path / "out" / "annotations.jsonl").read_text(encoding="utf-8") == golden
+        assert "skipping unreadable entry" in caplog.text
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("threshold", [float("nan"), 2, -0.01, float("inf")], ids=["nan", "2", "negative", "inf"])
+    def test_failure_threshold_outside_unit_interval_exits_2_before_input_read(
+        self, data_dir, tmp_path, capsys, monkeypatch, route, threshold
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input was read")
+
+        for name in ("iter_documents", "ingest_documents", "read_labels"):
+            monkeypatch.setattr(cli, name, unread)
+        if route == "flag":
+            setting = ("--failure-threshold", threshold)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"failure_threshold": threshold}), encoding="utf-8")  # NaN and Infinity
+            setting = ("--config", config)
+        assert annotate_fixture(data_dir, tmp_path / "out", extra=setting) == 2
+        assert "config error: failure_threshold must be a number in [0, 1], not " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_unknown_key(self, tmp_path, capsys):
         config_path = tmp_path / "run.json"
@@ -380,6 +409,17 @@ class TestMalformedAnnotations:
         assert code == 2
         assert f"config error: malformed record in annotations file {annotations}" in capsys.readouterr().err
         assert not (out / "aggregates.csv").exists()
+
+
+@pytest.mark.parametrize("text, reason", JSON_PAST_LIMITS)
+@pytest.mark.parametrize("command", ["evaluate", "study"])
+def test_annotation_line_past_json_limits_exits_2(data_dir, golden_dir, tmp_path, capsys, command, text, reason):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text((golden_dir / "annotations.jsonl").read_text(encoding="utf-8") + text + "\n", encoding="utf-8")
+    inputs = {"evaluate": ("--gold", data_dir / "gold.csv"), "study": ("--party-meta", data_dir / "parties.csv")}[command]
+    code = run(command, "--corpus", data_dir / "corpus.jsonl", "--annotations", annotations, *inputs, "--out", tmp_path / "out")
+    assert code == 2
+    assert f"config error: malformed record in annotations file {annotations}: ValueError: {reason}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -151,6 +151,13 @@ class TestCodebookValidation:
         assert book.labeled_examples == (("bad thing", 1), ("nice thing", 0))
         assert resolve_codebook(str(path)).digest() == book.digest()
 
+    @pytest.mark.parametrize("value", [[1], "text", None])
+    def test_json_file_not_an_object_rejected(self, tmp_path, value):
+        path = tmp_path / "book.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^invalid codebook file .*book\.json: not a JSON object$"):
+            load_codebook(path)
+
     def test_variant_parsing(self):
         variant = PromptVariant.parse("system_user:adjusted")
         assert variant.context_level is ContextLevel.SYSTEM_USER

@@ -372,6 +372,13 @@ class TestIngestGold:
         with pytest.raises(IngestError, match="line 2"):
             ingest_gold(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        # a blank line 2 and a quoted newline across lines 4 and 5 put the bad row on line 6
+        path = tmp_path / "g.csv"
+        path.write_text('doc_id,coder_id,label\n\nd1,c1,1\n"d\n2",c1,0\nd3,c1,7\n', encoding="utf-8")
+        with pytest.raises(IngestError, match=r"^g\.csv line 6: non-binary label '7'$"):
+            ingest_gold(path)
+
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("doc_id,coder_id,label\nd1,c1,1\nd1,c1,1\n", encoding="utf-8")
@@ -432,6 +439,17 @@ class TestIngestPartyMeta:
         path = tmp_path / "p.csv"
         path.write_text("party_id,country,lrgen,govt,antielite_salience,family,name\n" + row + "\n", encoding="utf-8")
         with pytest.raises(IngestError, match="line 2"):
+            ingest_party_meta(path)
+
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "party_id,country,lrgen,govt,antielite_salience,family,name\n\n"
+            'p1,GB,5.0,0,2.0,socialist,"Party\nOne"\np2,GB,5.0,2,2.0,socialist,P\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError, match=r"^p\.csv line 5: govt 2 not in \{0, 1\}$"):
             ingest_party_meta(path)
 
 
