@@ -32,7 +32,20 @@ from .errors import (
     TransportFailure,
     UndefinedMetric,
 )
-from .ingest import Corpus, Document, GoldLabel, PartyMeta, detect_retweet, ingest_documents, ingest_gold, ingest_party_meta, iter_documents
+from .ingest import (
+    Corpus,
+    CorpusRow,
+    Document,
+    GoldLabel,
+    PartyMeta,
+    corpus_row,
+    detect_retweet,
+    ingest_documents,
+    ingest_gold,
+    ingest_party_meta,
+    iter_documents,
+    read_corpus,
+)
 from .reliability import (
     ConfusionMatrix,
     RatingTable,

@@ -23,6 +23,7 @@ from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, P
 from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render_system, render_user
 from .errors import AuthenticationError, ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
 from .ingest import Corpus, Document, decode_json_line
+from .runio import atomic_writer
 
 if TYPE_CHECKING:
     import requests
@@ -416,11 +417,8 @@ class AnnotationCache:
         """Rewrite the log with one line per live entry, atomically."""
         with self._lock:
             self.close()  # a later put must append to the new file
-            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-            with tmp.open("w", encoding="utf-8") as fh:
-                for key in sorted(self._entries):
-                    fh.write(annotation_line(self._entries[key]))
-            os.replace(tmp, self.path)
+            with atomic_writer(self.path) as fh:
+                fh.writelines(annotation_line(self._entries[key]) for key in sorted(self._entries))
 
 
 def parse_label(raw_response: str) -> int:
@@ -651,10 +649,10 @@ def estimate_cost(
 
 
 def write_annotations(path: str | Path, results: Iterable[AnnotationResult]) -> None:
-    """Write results as JSONL sorted by doc id (UTF-8, LF)."""
+    """Write results as JSONL sorted by doc id (UTF-8, LF), atomically."""
     rows = sorted(results, key=lambda r: r.doc_id)
-    payload = "".join(map(annotation_line, rows))
-    Path(path).write_text(payload, encoding="utf-8", newline="\n")
+    with atomic_writer(path) as fh:
+        fh.writelines(map(annotation_line, rows))
 
 
 def read_annotations(path: str | Path) -> list[AnnotationResult]:

@@ -38,7 +38,7 @@ from .annotate import (
 )
 from .codebook import PromptVariant, resolve_codebook
 from .errors import ConfigError, DesignError, EvaluationJoinError, IngestError, NegcampError, UndefinedMetric
-from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, iter_documents, load_json_file
+from .ingest import Rejection, gold_label_map, ingest_documents, ingest_gold, ingest_party_meta, load_json_file, read_corpus
 from .reliability import RatingTable, brennan_prediger, grouped_report, krippendorff_alpha_nominal, render_report_text
 from .runio import sha256_file, sha256_text, stable_json_dumps, write_json, write_text
 from .study import (
@@ -167,11 +167,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from None
     if not 0.0 <= config.failure_threshold <= 1.0:  # NaN fails both comparisons
         raise ConfigError(f"failure_threshold must be a number in [0, 1], not {config.failure_threshold!r}")
+    if config.concurrency < 1:
+        raise ConfigError(f"concurrency must be at least 1, not {config.concurrency!r}")
     return config
 
 
-def _input_entry(path: Path, **extra: object) -> dict[str, object]:
-    entry: dict[str, object] = {"name": path.name, "sha256": sha256_file(path)}
+def _input_entry(path: Path, sha256: str | None = None, **extra: object) -> dict[str, object]:
+    entry: dict[str, object] = {"name": path.name, "sha256": sha256 or sha256_file(path)}
     entry.update(extra)
     return entry
 
@@ -180,6 +182,16 @@ def _write_rejections(config: RunConfig, rejections: Sequence[Rejection]) -> Non
     if rejections:
         write_text(config.out / "rejections.jsonl", "".join(stable_json_dumps(r._asdict()) + "\n" for r in rejections))
         logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
+
+
+def _read_corpus(config: RunConfig, path: Path, reduce):
+    """``reduce`` of the corpus rows (see ``read_corpus``, with the index
+    ``OUT/corpus_index.jsonl``) and the corpus's sha256; writes the
+    rejections."""
+    sha256 = sha256_file(path)
+    result, rejections = read_corpus(path, config.corpus_format, sha256, config.out / "corpus_index.jsonl", reduce)
+    _write_rejections(config, rejections)
+    return result, sha256
 
 
 def _load_labels(config: RunConfig) -> tuple[dict[str, int], Path]:
@@ -300,13 +312,15 @@ def cmd_evaluate(config: RunConfig) -> int:
     gold, n_conflicts = gold_label_map(gold_labels, coder=config.gold_coder)
     predicted, annotations_path = _load_labels(config)
 
-    rejections: list[Rejection] = []
-    n_documents, countries, languages = 0, {}, {}
-    for doc in iter_documents(corpus_path, config.corpus_format, rejections):
-        n_documents += 1
-        if doc.id in gold:  # only gold documents can join
-            countries[doc.id], languages[doc.id] = doc.country, doc.language
-    _write_rejections(config, rejections)
+    def join(rows):
+        n_documents, countries, languages = 0, {}, {}
+        for doc_id, language, country, _, _ in rows:
+            n_documents += 1
+            if doc_id in gold:  # only gold documents can join
+                countries[doc_id], languages[doc_id] = country, language
+        return n_documents, countries, languages
+
+    (n_documents, countries, languages), corpus_sha256 = _read_corpus(config, corpus_path, join)
     by_country = grouped_report(gold, predicted, countries)
     by_language = grouped_report(gold, predicted, languages)
     if by_country.n_gold_only:
@@ -337,7 +351,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         "command": "evaluate",
         "config_digest": config.semantic_digest("evaluate"),
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=n_documents),
+            "corpus": _input_entry(corpus_path, corpus_sha256, n_documents=n_documents),
             "gold": _input_entry(gold_path, n_labels=len(gold_labels)),
             "annotations": _input_entry(annotations_path, n_labels=len(predicted)),
         },
@@ -377,9 +391,7 @@ def cmd_study(config: RunConfig) -> int:
     meta_path = config.require("party_meta")
     party_meta = ingest_party_meta(meta_path)
 
-    rejections: list[Rejection] = []
-    counts = count_documents(iter_documents(corpus_path, config.corpus_format, rejections), labels)
-    _write_rejections(config, rejections)
+    counts, corpus_sha256 = _read_corpus(config, corpus_path, lambda rows: count_documents(rows, labels))
     aggregates = aggregate_parties(counts, party_meta, filters)
     write_text(
         config.out / "aggregates.csv",
@@ -443,7 +455,7 @@ def cmd_study(config: RunConfig) -> int:
             "exclude_independents": filters.exclude_independents,
         },
         "inputs": {
-            "corpus": _input_entry(corpus_path, n_documents=counts.cells.total()),
+            "corpus": _input_entry(corpus_path, corpus_sha256, n_documents=counts.cells.total()),
             "annotations": _input_entry(annotations_path, n_labels=len(labels)),
             "party_meta": _input_entry(meta_path, n_parties=len(party_meta)),
         },

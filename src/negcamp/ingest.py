@@ -2,7 +2,9 @@
 
 ``iter_documents`` is the one corpus reader: it streams the valid, unique
 records as ``Document``s in file order, and ``ingest_documents`` collects
-them into an id-sorted ``Corpus``.
+them into an id-sorted ``Corpus``. ``read_corpus`` gives ``evaluate`` and
+``study`` the slim ``CorpusRow``s of that stream, from a corpus index when
+one written for the same corpus, format and validation rules is at hand.
 
 Corpus records that fail validation are skipped and reported with their line
 number instead of aborting the run, so large ingestions stay resumable and
@@ -16,18 +18,26 @@ the physical line on which the row starts.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
+import os
+import sys
 from datetime import datetime
 from itertools import pairwise
+from json.encoder import encode_basestring
 from pathlib import Path
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar
 
+from . import codes
 from .codes import ISO_COUNTRIES, ISO_LANGUAGES, PARTY_FAMILIES
 from .errors import ConfigError, IngestError
+from .runio import atomic_writer
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 # JSONL / CSV column names of a corpus record, in canonical order.
 DOCUMENT_FIELDS = ("id", "text", "lang", "country", "author", "party", "created_at", "retweet")
@@ -47,6 +57,17 @@ class Document(NamedTuple):
     author_id: str
     party_id: str
     created_at: str
+    is_retweet: bool
+
+
+class CorpusRow(NamedTuple):
+    """What ``evaluate`` and ``study`` keep of a document; ``is_retweet`` is
+    ``detect_retweet``'s verdict, not the raw flag."""
+
+    id: str
+    language: str
+    country: str
+    party_id: str
     is_retweet: bool
 
 
@@ -257,6 +278,140 @@ def iter_documents(path: str | Path, fmt: str, rejections: list[Rejection]) -> I
                 continue
             seen.add(doc_id)
             yield Document._make(fields)
+
+
+_new_row = tuple.__new__  # builds a row without the Python-level ``CorpusRow.__new__``
+
+
+def corpus_row(doc: Document) -> CorpusRow:
+    return _new_row(CorpusRow, (doc.id, doc.language, doc.country, doc.party_id, detect_retweet(doc)))
+
+
+class _UnusableIndex(Exception):
+    """Why a corpus index cannot stand in for its corpus."""
+
+
+def _rules_digest() -> str:
+    """sha256 of what decides which records are valid: this module's and
+    ``codes``' bytes, and Python's major.minor version, on which
+    ``fromisoformat`` and the JSON limits depend."""
+    digest = hashlib.sha256()
+    for module_file in (__file__, codes.__file__):
+        digest.update(Path(module_file).read_bytes())
+    digest.update(b"python %d.%d" % sys.version_info[:2])
+    return digest.hexdigest()
+
+
+def _indexed(documents: Iterable[Document], fh: TextIO, header: str, rejections: list[Rejection]) -> Iterator[CorpusRow]:
+    """Each document's ``CorpusRow``, written to ``fh`` as it passes: the
+    header line, one JSON array per row, and a trailer of the row count and
+    ``rejections`` once the documents are exhausted."""
+    write = fh.write
+    write(header + "\n")
+    n_documents = 0
+    for doc in documents:
+        row = corpus_row(doc)
+        doc_id, language, country, party_id, is_retweet = row
+        write(f"[{encode_basestring(doc_id)},{encode_basestring(language)},{encode_basestring(country)},"
+              f"{encode_basestring(party_id)},{'true' if is_retweet else 'false'}]\n")
+        n_documents += 1
+        yield row
+    write(json.dumps({"n_documents": n_documents, "rejections": rejections}, sort_keys=True) + "\n")
+
+
+def _header_change(line: str, header: str) -> str:
+    """Why an index whose first line is ``line`` was not written under ``header``."""
+    expected = decode_json_line(header)
+    try:
+        found = decode_json_line(line)
+    except ValueError:
+        found = None
+    if type(found) is not dict or found.keys() != expected.keys():
+        return "line 1: not an index header"
+    return "built for another " + " and ".join(key for key in sorted(expected) if found[key] != expected[key])
+
+
+def _is_trailer(value: object, n_documents: int) -> bool:
+    return (
+        type(value) is dict
+        and value.keys() == {"n_documents", "rejections"}
+        and type(value["n_documents"]) is int
+        and value["n_documents"] == n_documents
+        and type(value["rejections"]) is list
+        and all(
+            type(r) is list and len(r) == 3 and type(r[0]) is int and type(r[1]) is str and type(r[2]) is str
+            for r in value["rejections"]
+        )
+    )
+
+
+def _index_rows(index_path: str | Path, header: str, rejections: list[Rejection]) -> Iterator[CorpusRow]:
+    """The rows of an index that ``_indexed`` wrote under ``header``, then
+    its rejections appended to ``rejections``; ``_UnusableIndex`` if it was
+    written under another header, or is unreadable, cut short or altered."""
+    lineno = 1
+    try:
+        with open(index_path, encoding="utf-8") as fh:
+            first = fh.readline()
+            if first != header + "\n":
+                raise _UnusableIndex(_header_change(first, header))
+            n_documents = 0
+            for lineno, line in enumerate(fh, start=2):
+                row = decode_json_line(line)
+                if type(row) is not list or len(row) != 5:
+                    break  # the trailer, if the index is whole
+                doc_id, language, country, party_id, is_retweet = row
+                if not (type(doc_id) is type(language) is type(country) is type(party_id) is str
+                        and (is_retweet is True or is_retweet is False)):
+                    raise _UnusableIndex(f"line {lineno}: not a row")
+                n_documents += 1
+                yield _new_row(CorpusRow, row)
+            else:
+                raise _UnusableIndex("no trailer")
+            if not _is_trailer(row, n_documents) or fh.readline():
+                raise _UnusableIndex(f"line {lineno}: not a final trailer for {n_documents} rows")
+    except (OSError, UnicodeDecodeError) as exc:  # the decoder reads ahead of the lines: no line number
+        raise _UnusableIndex(str(exc)) from None
+    except ValueError as exc:  # JSON past Python's limits too
+        raise _UnusableIndex(f"line {lineno}: {exc}") from None
+    rejections.extend(map(Rejection._make, row["rejections"]))
+
+
+def read_corpus(
+    path: str | Path, fmt: str, sha256: str, index_path: str | Path, reduce: Callable[[Iterable[CorpusRow]], T]
+) -> tuple[T, list[Rejection]]:
+    """``reduce`` of the ``CorpusRow``s of the valid, unique records of the
+    corpus at ``path``, whose sha256 is ``sha256``, in file order, and the
+    rejections, as ``iter_documents`` reads them; ``reduce`` must consume
+    every row.
+
+    The rows come from the corpus index at ``index_path`` if it was written
+    for the same corpus digest, format and validation rules
+    (``_rules_digest``). Otherwise they come from the corpus, and the index
+    is written as they stream. Trouble with the index is never fatal: an
+    index that cannot be used is logged, ``corpus index ignored: REASON``,
+    and rewritten (``reduce`` starts again if it has seen rows from it), and
+    one that cannot be written is logged and left out.
+    """
+    header = json.dumps({"corpus_format": fmt, "corpus_sha256": sha256, "rules": _rules_digest()}, sort_keys=True)
+    rejections: list[Rejection] = []
+    if os.path.lexists(index_path):
+        try:
+            return reduce(_index_rows(index_path, header, rejections)), rejections
+        except _UnusableIndex as exc:
+            logger.warning("corpus index ignored: %s", exc)
+            rejections.clear()
+    done = False
+    try:
+        with atomic_writer(index_path) as fh:
+            result = reduce(_indexed(iter_documents(path, fmt, rejections), fh, header, rejections))
+            done = True
+    except OSError as exc:
+        logger.warning("corpus index not written: %s", exc)
+    if not done:  # the write failed before the rows were all read: read them again
+        rejections.clear()
+        result = reduce(map(corpus_row, iter_documents(path, fmt, rejections)))
+    return result, rejections
 
 
 def ingest_documents(path: str | Path, fmt: str = "jsonl") -> DocumentIngest:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
+from typing import Iterator, TextIO
 
 
 def _round_12(q: Fraction) -> float:
@@ -58,19 +59,29 @@ def stable_json_dumps(obj: object, indent: int | None = None) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=indent)
 
 
-def write_text(path: str | Path, content: str) -> None:
-    """Atomic UTF-8 write with LF line endings."""
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle with LF line endings on a new file beside
+    ``path``, moved over ``path`` when the block ends and removed if it
+    raises, so ``path`` holds either its old bytes or all the new ones. The
+    file is created as ``open`` creates one, with mode 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, content: str) -> None:
+    """Atomic UTF-8 write with LF line endings."""
+    with atomic_writer(path) as fh:
+        fh.write(content)
 
 
 def write_json(path: str | Path, obj: object) -> None:

@@ -2,9 +2,9 @@
 predictor construction, fixed-effects OLS with country-clustered standard
 errors, and marginal means by party family.
 
-``count_documents`` reduces the documents, streamed once in any order, to
+``count_documents`` reduces the corpus rows, streamed once in any order, to
 counts per (party, country, retweet, label), which ``aggregate_parties`` and
-``country_negativity`` read; no document is held.
+``country_negativity`` read; no row is held.
 
 The regression is OLS on percentage outcomes (0-100) with country dummies.
 Clustered covariances use the CR1 small-sample factor (G/(G-1))*((N-1)/(N-k))
@@ -33,7 +33,7 @@ from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DesignError, RankDeficient
-from .ingest import Document, PartyMeta, detect_retweet
+from .ingest import CorpusRow, PartyMeta
 from .runio import canonical_float
 
 GOVT_NAME = "Government experience"
@@ -105,17 +105,17 @@ class DocumentCounts(NamedTuple):
         return sum(n for (_, _, _, label), n in self.cells.items() if label is None)
 
 
-def count_documents(documents: Iterable[Document], labels: Mapping[str, int]) -> DocumentCounts:
-    """Count documents, in any order, into a ``DocumentCounts`` table."""
+def count_documents(rows: Iterable[CorpusRow], labels: Mapping[str, int]) -> DocumentCounts:
+    """Count corpus rows, in any order, into a ``DocumentCounts`` table."""
     cells: Counter[tuple[str, str, bool, int | None]] = Counter()
     party_countries: dict[str, tuple[str, str]] = {}
-    for doc in documents:
-        label = labels.get(doc.id)
-        cells[doc.party_id, doc.country, detect_retweet(doc), label] += 1
+    for doc_id, _, country, party_id, is_retweet in rows:
+        label = labels.get(doc_id)
+        cells[party_id, country, is_retweet, label] += 1
         if label is not None:
-            lowest = party_countries.get(doc.party_id)
-            if lowest is None or doc.id < lowest[0]:
-                party_countries[doc.party_id] = (doc.id, doc.country)
+            lowest = party_countries.get(party_id)
+            if lowest is None or doc_id < lowest[0]:
+                party_countries[party_id] = (doc_id, country)
     return DocumentCounts(cells, party_countries)
 
 

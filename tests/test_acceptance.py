@@ -19,7 +19,7 @@ from negcamp.annotate import MOCK_RETRY, MockTransport, ModelConfig, annotate_ba
 from negcamp.cli import main
 from negcamp.codebook import PromptVariant, builtin_codebooks
 from negcamp.errors import TransportError, UndefinedMetric
-from negcamp.ingest import PartyMeta
+from negcamp.ingest import PartyMeta, corpus_row
 from negcamp.reliability import (
     brennan_prediger,
     compare,
@@ -285,7 +285,7 @@ def _party_corpus(sizes):
             doc_id = f"{party}_{i:04d}"
             docs.append(make_doc(doc_id=doc_id, party=party, country="GB"))
             labels[doc_id] = i % 2
-    return count_documents(docs, labels)
+    return count_documents(map(corpus_row, docs), labels)
 
 
 def test_criterion_7_filter_contract():

@@ -924,3 +924,23 @@ class TestAnnotationIo:
         reloaded = read_annotations(path)
         assert [r.to_record() for r in reloaded] == [r.to_record() for r in batch.results]
         assert path.read_text(encoding="utf-8").count("\n") == 60
+
+    def test_write_that_raises_partway_leaves_previous_file(self, golden_dir, tmp_path, monkeypatch):
+        """``write_annotations`` is atomic: a write cut short by an error
+        leaves the file it would have replaced, and no temporary file. Here
+        the 30th line cannot be encoded."""
+        path = tmp_path / "annotations.jsonl"
+        previous = (golden_dir / "annotations.jsonl").read_bytes()
+        path.write_bytes(previous)
+        results = read_annotations(path)
+        real, calls = negcamp.annotate.annotation_line, []
+
+        def failing(result):
+            calls.append(result)
+            return "\udcff\n" if len(calls) == 30 else real(result)
+
+        monkeypatch.setattr(negcamp.annotate, "annotation_line", failing)
+        with pytest.raises(UnicodeEncodeError):
+            write_annotations(path, [r._replace(label=1 - r.label) for r in results])
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["annotations.jsonl"]

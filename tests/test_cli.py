@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 import requests
@@ -216,7 +218,7 @@ class TestAnnotateCommand:
         def unread(*args, **kwargs):
             raise AssertionError("an input was read")
 
-        for name in ("iter_documents", "ingest_documents", "read_labels"):
+        for name in ("read_corpus", "ingest_documents", "read_labels"):
             monkeypatch.setattr(cli, name, unread)
         if route == "flag":
             setting = ("--failure-threshold", threshold)
@@ -250,7 +252,7 @@ def test_config_value_of_wrong_type_exits_2_before_input_read(
     def unread(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for name in ("iter_documents", "ingest_documents", "read_labels"):
+    for name in ("read_corpus", "ingest_documents", "read_labels"):
         monkeypatch.setattr(cli, name, unread)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(setting), encoding="utf-8")
@@ -525,6 +527,45 @@ class TestStudyCommand:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("concurrency", [0, -1])
+def test_concurrency_below_1_exits_2_before_input_read(data_dir, tmp_path, capsys, monkeypatch, route, concurrency):
+    def unread(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(cli, "ingest_documents", unread)
+    monkeypatch.setattr(cli.MockTransport, "from_jsonl", unread)
+    if route == "flag":
+        setting = ("--concurrency", concurrency)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"concurrency": concurrency}), encoding="utf-8")
+        setting = ("--config", config)
+    assert annotate_fixture(data_dir, tmp_path / "out", extra=setting) == 2
+    assert f"config error: concurrency must be at least 1, not {concurrency}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_every_output_file_has_the_umask_s_mode(data_dir, golden_dir, tmp_path, umask):
+    """Each file a command writes, atomically or by appending, is created
+    with mode 0o666 less the umask, as ``open`` creates one."""
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert annotate_fixture(data_dir, out) == 0
+        assert run("evaluate", "--corpus", data_dir / "corpus.jsonl", "--gold", data_dir / "gold.csv", "--out", out) == 0
+        assert run(
+            "study", "--corpus", data_dir / "corpus.jsonl", "--party-meta", data_dir / "parties.csv", "--min-tweets", 0,
+            "--model-variant", "family", "--out", out,
+        ) == 0
+    finally:
+        os.umask(previous)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert {"annotations.jsonl", "cache.jsonl", "evaluation.json", "corpus_index.jsonl", "marginal_means.csv"} <= set(modes)
+    assert modes == dict.fromkeys(modes, 0o666 & ~umask)
+
+
 class TestManifests:
     def test_manifests_have_no_absolute_paths(self, data_dir, tmp_path):
         out = tmp_path / "deep" / "nested" / "out"
@@ -585,7 +626,7 @@ def test_negative_min_tweets_exits_2_before_corpus_read(data_dir, golden_dir, tm
     def unread(*args, **kwargs):
         raise AssertionError("the corpus was read")
 
-    monkeypatch.setattr(cli, "iter_documents", unread)
+    monkeypatch.setattr(cli, "read_corpus", unread)
     if route == "flag":
         setting = ("--min-tweets", -1)
     else:

@@ -14,14 +14,17 @@ from negcamp.ingest import (
     DOCUMENT_FIELDS,
     Corpus,
     Rejection,
+    corpus_row,
     detect_retweet,
     gold_label_map,
     ingest_documents,
     ingest_gold,
     ingest_party_meta,
     iter_documents,
+    read_corpus,
 )
 from negcamp.reliability import RatingTable
+from negcamp.runio import sha256_file
 
 
 def write_jsonl(path, records):
@@ -300,6 +303,15 @@ PADDED_LINE = st.tuples(st.sampled_from(["", "\ufeff", " \t"]), JSON_LINE, st.sa
 JSONL_LINE = JSON_LINE | PADDED_LINE | st.sampled_from(["", "  ", "{oops", "[1, 2]", '"text"', "{}", "null"])
 
 
+CSV_ROWS = st.lists(
+    st.lists(st.sampled_from(["d1", "d2", "hi", "two\nlines", "en", "xx", "GB", "", "p1", "true", "no",
+                              "2020-01-01T00:00:00Z", "a,b", 'say "hi"']), max_size=10)
+    | st.just([]),  # a blank line
+    max_size=10,
+)
+CSV_HEADERS = st.just(list(DOCUMENT_FIELDS)) | st.permutations(DOCUMENT_FIELDS)
+
+
 class TestOracleParity:
     """The one-pass record check against the field-by-field oracle."""
 
@@ -314,16 +326,7 @@ class TestOracleParity:
         assert rejections == expected_rejections
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(
-            st.lists(st.sampled_from(["d1", "d2", "hi", "two\nlines", "en", "xx", "GB", "", "p1", "true", "no",
-                                      "2020-01-01T00:00:00Z", "a,b", 'say "hi"']), max_size=10)
-            | st.just([]),  # a blank line
-            max_size=10,
-        ),
-        header=st.just(list(DOCUMENT_FIELDS)) | st.permutations(DOCUMENT_FIELDS),
-        short_header=st.booleans(),
-    )
+    @given(rows=CSV_ROWS, header=CSV_HEADERS, short_header=st.booleans())
     def test_csv_documents_and_rejections_equal_oracle(self, tmp_path_factory, rows, header, short_header):
         """Documents, reasons and ids as ``csv.DictReader`` rows give them
         through the oracle; lines where each record starts in the text written."""
@@ -356,6 +359,37 @@ class TestOracleParity:
         rejections = []
         assert list(iter_documents(path, "csv", rejections)) == documents
         assert [(r.line, r.reason, r.doc_id) for r in rejections] == expected
+
+
+class TestCorpusIndexParity:
+    """The rows and rejections read back from a corpus index equal those of
+    the fresh parse that wrote it."""
+
+    @staticmethod
+    def check(path, fmt):
+        rejections = []
+        fresh = ([corpus_row(doc) for doc in iter_documents(path, fmt, rejections)], rejections)
+        sha256, index = sha256_file(path), path.with_name("corpus_index.jsonl")
+        assert read_corpus(path, fmt, sha256, index, list) == fresh
+        assert index.is_file()
+        # A hit reads no corpus: none is at this path, and a miss would raise.
+        assert read_corpus(path.with_name("absent"), fmt, sha256, index, list) == fresh
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(JSONL_LINE, max_size=12))
+    def test_jsonl(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        self.check(path, "jsonl")
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=CSV_ROWS, header=CSV_HEADERS)
+    def test_csv(self, tmp_path_factory, rows, header):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        path = tmp_path_factory.mktemp("csv") / "c.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8")
+        self.check(path, "csv")
 
 
 class TestIngestGold:

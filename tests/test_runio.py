@@ -1,11 +1,15 @@
-"""``canonical_float`` rounds exact values once to 12 significant digits."""
+"""``canonical_float`` rounds exact values once to 12 significant digits;
+``atomic_writer`` replaces a file whole or not at all."""
 
+import os
+import stat
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from negcamp.runio import canonical_float
+from negcamp.runio import atomic_writer, canonical_float, write_text
 
 RATIONALS = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**15)
 
@@ -33,3 +37,31 @@ def test_examples():
     assert canonical_float(0, 2) == 1.41421356237
     assert canonical_float(1, -1) == 0.0
     assert canonical_float(Fraction(1, 10**40), Fraction(1, 10**90)) == 1.00001e-40
+
+
+class TestAtomicWriter:
+    def test_block_that_raises_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_writer(path) as fh:
+                fh.write("new, but cut short\n" * 10_000)
+                raise KeyboardInterrupt
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_replace_that_fails_leaves_no_temporary_file(self, tmp_path):
+        (tmp_path / "out.txt").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_text(tmp_path / "out.txt", "text")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+    def test_mode_is_the_umask_s(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            write_text(tmp_path / "sub" / "out.txt", "a\nb\n")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "sub" / "out.txt").stat().st_mode) == 0o666 & ~umask
+        assert (tmp_path / "sub" / "out.txt").read_bytes() == b"a\nb\n"

@@ -17,7 +17,7 @@ from oracles import (
     within_demeaned_beta,
 )
 from negcamp.errors import DesignError, RankDeficient
-from negcamp.ingest import PartyMeta
+from negcamp.ingest import PartyMeta, corpus_row
 from negcamp.study import (
     ANTIELITE_NAME,
     EXTREMISM_NAME,
@@ -102,7 +102,7 @@ class TestAggregateParties:
 
     def test_hand_count(self):
         docs, labels = self.party_docs(n=6, retweets=1, negatives=(0, 1))
-        aggs = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(map(corpus_row, docs), labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))
         assert len(aggs) == 1
         agg = aggs[0]
         assert agg.n_total == 6
@@ -114,36 +114,36 @@ class TestAggregateParties:
     def test_min_tweets_boundary(self):
         docs_a, labels_a = self.party_docs(party="small", n=499, retweets=0, negatives=())
         docs_b, labels_b = self.party_docs(party="large", n=500, retweets=0, negatives=())
-        counts = count_documents(docs_a + docs_b, {**labels_a, **labels_b})
+        counts = count_documents(map(corpus_row, docs_a + docs_b), {**labels_a, **labels_b})
         metas = {"small": meta("small"), "large": meta("large")}
         aggs = aggregate_parties(counts, metas, AggregationFilters(min_tweets=500))
         assert [a.party_id for a in aggs] == ["large"]
 
     def test_independents_excluded(self):
         docs, labels = self.party_docs(party="", n=4, retweets=0, negatives=(0,))
-        aggs = aggregate_parties(count_documents(docs, labels), {}, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(map(corpus_row, docs), labels), {}, AggregationFilters(min_tweets=0))
         assert aggs == []
         with_ind = aggregate_parties(
-            count_documents(docs, labels), {}, AggregationFilters(min_tweets=0, exclude_independents=False)
+            count_documents(map(corpus_row, docs), labels), {}, AggregationFilters(min_tweets=0, exclude_independents=False)
         )
         assert len(with_ind) == 1
 
     def test_retweet_split_disabled(self):
         docs, labels = self.party_docs(n=6, retweets=2, negatives=(0,))
         filters = AggregationFilters(min_tweets=0, exclude_retweets=False)
-        agg = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, filters)[0]
+        agg = aggregate_parties(count_documents(map(corpus_row, docs), labels), {"p1": meta("p1")}, filters)[0]
         assert agg.n_original == agg.n_total == 6
         assert agg.pct_negative_retweets is None
 
     def test_missing_meta_flagged(self):
         docs, labels = self.party_docs()
-        agg = aggregate_parties(count_documents(docs, labels), {}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(map(corpus_row, docs), labels), {}, AggregationFilters(min_tweets=0))[0]
         assert "missing_meta" in agg.flags
 
     def test_unlabeled_docs_excluded_from_counts(self):
         docs, labels = self.party_docs(n=6, retweets=0, negatives=(0,))
         del labels[docs[-1].id]
-        agg = aggregate_parties(count_documents(docs, labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(map(corpus_row, docs), labels), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
         assert agg.n_total == 5
 
     @given(st.integers(0, 8), st.integers(0, 8))
@@ -156,7 +156,7 @@ class TestAggregateParties:
             d, lab = self.party_docs(party=p, n=size, retweets=0, negatives=())
             docs += d
             labels.update(lab)
-        counts = count_documents(docs, labels)
+        counts = count_documents(map(corpus_row, docs), labels)
         metas = {p: meta(p) for p in ("p1", "p2", "p3")}
         low = {a.party_id for a in aggregate_parties(counts, metas, AggregationFilters(min_tweets=t_low))}
         high = {a.party_id for a in aggregate_parties(counts, metas, AggregationFilters(min_tweets=t_high))}
@@ -166,7 +166,7 @@ class TestAggregateParties:
         from negcamp.annotate import parse_label
 
         labels = {k: parse_label(v) for k, v in mock_map.items()}
-        aggs = aggregate_parties(count_documents(corpus, labels), party_meta, AggregationFilters(min_tweets=0))
+        aggs = aggregate_parties(count_documents(map(corpus_row, corpus), labels), party_meta, AggregationFilters(min_tweets=0))
         for a in aggs:
             assert a.n_negative_original <= a.n_original <= a.n_total
             assert 0.0 <= a.pct_negative <= 100.0
@@ -175,7 +175,7 @@ class TestAggregateParties:
 
     def test_country_of_lowest_id_labeled_document(self):
         docs = [make_doc(doc_id="a", country="DE"), make_doc(doc_id="b", country="GB"), make_doc(doc_id="c", country="DE")]
-        agg = aggregate_parties(count_documents(docs, {"b": 1, "c": 0}), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
+        agg = aggregate_parties(count_documents(map(corpus_row, docs), {"b": 1, "c": 0}), {"p1": meta("p1")}, AggregationFilters(min_tweets=0))[0]
         assert agg.country == "GB"
 
 
@@ -194,7 +194,7 @@ class TestCountDocuments:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                counts = count_documents(docs, labels)
+                counts = count_documents(map(corpus_row, docs), labels)
                 kept = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
@@ -206,7 +206,7 @@ class TestCountDocuments:
 
     def test_unlabeled_documents_counted_apart(self):
         docs = [make_doc(doc_id="a"), make_doc(doc_id="b", retweet=True), make_doc(doc_id="c", party="p2", country="DE")]
-        counts = count_documents(docs, {"b": 1})
+        counts = count_documents(map(corpus_row, docs), {"b": 1})
         assert counts.cells == {("p1", "GB", False, None): 1, ("p1", "GB", True, 1): 1, ("p2", "DE", False, None): 1}
         assert counts.party_countries == {"p1": ("b", "GB")}
         assert counts.n_unlabeled == 2
@@ -254,7 +254,7 @@ def test_index_aggregation_equals_list_oracle(specs, order, exclude_retweets, ex
         exclude_retweets=exclude_retweets, min_tweets=min_tweets, exclude_independents=exclude_independents
     )
     shuffled = [doc for _, doc in sorted(zip(order, docs), key=lambda pair: pair[0])]
-    counts, corpus = count_documents(shuffled, labels), make_corpus(docs)
+    counts, corpus = count_documents(map(corpus_row, shuffled), labels), make_corpus(docs)
     assert aggregate_parties(counts, metas, filters) == aggregate_parties_lists(corpus, labels, metas, filters)
     assert country_negativity(counts) == country_negativity_lists(corpus, labels)
 
@@ -654,13 +654,13 @@ class TestCountryNegativity:
             make_doc(doc_id="r2", country="GB", retweet=True),
         ]
         labels = {"o1": 1, "o2": 0, "o3": 0, "o4": 1, "r1": 0, "r2": 0}
-        rows = country_negativity(count_documents(docs, labels))
+        rows = country_negativity(count_documents(map(corpus_row, docs), labels))
         assert rows[0].pct_original == pytest.approx(50.0)
         assert rows[0].pct_retweet == pytest.approx(0.0)
 
     def test_no_retweets_reported_absent(self):
         docs = [make_doc(doc_id="o1", country="GB")]
-        rows = country_negativity(count_documents(docs, {"o1": 1}))
+        rows = country_negativity(count_documents(map(corpus_row, docs), {"o1": 1}))
         assert rows[0].pct_retweet is None
         assert rows[0].pct_original == pytest.approx(100.0)
 
@@ -672,7 +672,7 @@ class TestCountryNegativity:
                 doc_id = f"{country}{i:03d}"
                 docs.append(make_doc(doc_id=doc_id, country=country, party=f"{country}_p"))
                 labels[doc_id] = 1 if i < rate else 0
-        rows = {r.country: r for r in country_negativity(count_documents(docs, labels))}
+        rows = {r.country: r for r in country_negativity(count_documents(map(corpus_row, docs), labels))}
         assert rows["IS"].pct_original == 9.0
         assert rows["ES"].pct_original == 37.0
 
