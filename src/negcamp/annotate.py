@@ -15,18 +15,16 @@ import random
 import re
 import threading
 import time
+import weakref
 from datetime import timezone
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from .codebook import Codebook, PromptVariant, ContextLevel, RenderedPrompt, default_context_descriptor, render_system, render_user
 from .errors import AuthenticationError, ConfigError, LabelFailure, MalformedResponse, TransportError, TransportFailure
 from .ingest import Corpus, Document, decode_json_line
 from .runio import atomic_writer
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +79,10 @@ class ModelConfig(_ModelConfigFields):
             price_per_1m_output=price_out,
         )
 
+    def cost_usd(self, input_tokens: float, output_tokens: float) -> float:
+        """The price of these token counts: the one price formula."""
+        return (input_tokens * self.price_per_1m_input + output_tokens * self.price_per_1m_output) / 1e6
+
 
 class TransportReply(NamedTuple):
     text: str
@@ -98,43 +100,33 @@ class Transport(Protocol):
 
 
 class HttpTransport:
-    """HTTPS chat-completion client. The API key is read from the
-    environment and never logged or echoed in error messages. ``requests``
-    is imported here, not at module level, so offline runs never load it.
+    """Chat-completion client on ``http.client``, imported here with ``ssl`` so
+    that offline runs load neither. The API key is read from the environment
+    and never logged or echoed in error messages. Each thread keeps one
+    connection alive (see ``_Connection``). ``timeout`` bounds each attempt:
+    each step of a new connection's set-up waits at most ``timeout``, and
+    each read after it at most the time left.
 
-    Connection errors, timeouts and the statuses in ``_RETRYABLE_STATUSES``
-    raise a retryable ``TransportError``; any other failure raises one that
-    is not retried, except 401 and 403, which raise ``AuthenticationError``
-    and so stop the whole batch. A session made here pools ``pool_maxsize``
-    connections per host, which should be the number of requests in flight;
-    a ``session`` passed in is used as it is."""
+    Connection errors, timeouts, a body cut short and the statuses in
+    ``_RETRYABLE_STATUSES`` raise a retryable ``TransportError``; any other
+    failure raises one that is not retried, except 401 and 403, which raise
+    ``AuthenticationError`` and so stop the whole batch."""
 
-    def __init__(
-        self,
-        api_key: str | None = None,
-        timeout: float = 60.0,
-        session: requests.Session | None = None,
-        pool_maxsize: int = 10,
-    ):
-        import requests
-        from requests.adapters import HTTPAdapter
+    def __init__(self, api_key: str | None = None, timeout: float = 60.0):
+        import ssl
 
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ConfigError(f"no API key; set {API_KEY_ENV} or configure a mock transport")
-        self._key = key
+        self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         self._timeout = timeout
-        if session is None:
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=pool_maxsize)
-            session.mount("https://", adapter)
-            session.mount("http://", adapter)
-        self._session = session
+        self._tls = ssl.create_default_context()
+        self._local = threading.local()  # .connection: this thread's _Connection
 
     def complete(
         self, system_text: str, user_text: str, config: ModelConfig, doc_id: str = ""
     ) -> TransportReply:
-        import requests
+        import http.client
 
         payload = {
             "model": config.model_id,
@@ -145,28 +137,44 @@ class HttpTransport:
                 {"role": "user", "content": user_text},
             ],
         }
+        deadline = time.monotonic() + self._timeout
+
+        def time_left() -> float:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("attempt deadline passed")
+            return left
+
+        connection = getattr(self._local, "connection", None)
         try:
-            response = self._session.post(
-                config.endpoint_url,
-                json=payload,
-                headers={"Authorization": f"Bearer {self._key}"},
-                timeout=self._timeout,
-            )
-        # a body cut off mid-read is a dropped connection too
-        except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError) as exc:
-            raise TransportError(f"request failed: {exc.__class__.__name__}") from None
-        except requests.RequestException as exc:
-            raise TransportError(f"request failed: {exc.__class__.__name__}", retryable=False) from None
-        status = response.status_code
+            if connection is None or connection.url != config.endpoint_url:
+                connection = self._local.connection = _Connection(config.endpoint_url, self._tls, self._timeout)
+            conn = connection.http
+            conn.request("POST", connection.target, json.dumps(payload).encode(), self._headers)  # reconnects if closed
+            sock = conn.sock
+            sock.settimeout(time_left())
+            with conn.getresponse() as response:
+                chunks = []
+                while response.length != 0 and not response.isclosed():  # the deadline is checked between chunks
+                    sock.settimeout(time_left())
+                    chunks.append(response.read1(65536))
+            if response.length:  # the server closed before the whole body came
+                raise http.client.IncompleteRead(b"".join(chunks), response.length)
+        except (OSError, ValueError, http.client.HTTPException) as exc:  # ValueError: a bad port or host name
+            if connection is not None:
+                connection.http.close()
+            retryable = isinstance(exc, OSError) or not isinstance(exc, (ValueError, http.client.InvalidURL))
+            raise TransportError(f"request failed: {exc.__class__.__name__}", retryable=retryable) from None
+        status = response.status
         if status in (401, 403):
             raise AuthenticationError(f"HTTP {status}: the endpoint refused the API key")
         if status != 200:
             retry_after = None
             if status in (429, 503):
-                retry_after = _retry_after_s(response.headers.get("Retry-After", ""))
+                retry_after = _retry_after_s(response.getheader("Retry-After", ""))
             raise TransportError(f"HTTP {status}", retry_after=retry_after, retryable=status in _RETRYABLE_STATUSES)
         try:
-            data = response.json()
+            data = decode_json_line(b"".join(chunks).decode("utf-8"))
             text = data["choices"][0]["message"]["content"]
             usage = data.get("usage") or {}
             reply = TransportReply(
@@ -179,6 +187,36 @@ class HttpTransport:
         if reply is None or not isinstance(reply.text, str):  # a refusal or content filter may answer null
             raise TransportError("unparseable completion payload", retryable=False)
         return reply
+
+
+class _Connection:
+    """A connection for ``url``, direct or through the proxy that
+    ``https_proxy``, ``http_proxy`` and ``no_proxy`` give (a tunnel for
+    HTTPS), checked against the system's certificates. A ``weakref.finalize``
+    closes it once this is dropped, when its thread ends or the transport
+    goes, before the garbage collector finalizes the socket."""
+
+    def __init__(self, url: str, tls: object, timeout: float):
+        import http.client
+        import urllib.request
+        from urllib.parse import urlsplit, urlunsplit
+
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise http.client.InvalidURL("not an http or https URL")
+        self.url, self.target = url, urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        proxy, via = urllib.request.getproxies().get(parts.scheme), None
+        if proxy and not urllib.request.proxy_bypass(parts.hostname):
+            via = urlsplit(proxy if "://" in proxy else f"//{proxy}").netloc
+        if parts.scheme == "https":
+            self.http = http.client.HTTPSConnection(via or parts.netloc, timeout=timeout, context=tls)
+            if via:
+                self.http.set_tunnel(parts.netloc)
+        else:
+            self.http = http.client.HTTPConnection(via or parts.netloc, timeout=timeout)
+            if via:  # a plain-HTTP proxy takes the whole URL
+                self.target = url
+        weakref.finalize(self, self.http.close)
 
 
 def _retry_after_s(header: str) -> float | None:
@@ -644,8 +682,7 @@ def estimate_cost(
     """Projected USD cost of annotating ``corpus_size`` documents."""
     if corpus_size <= 0 or avg_input_tokens <= 0 or avg_output_tokens <= 0:
         raise ValueError("corpus size and token averages must be positive")
-    per_doc = avg_input_tokens * config.price_per_1m_input + avg_output_tokens * config.price_per_1m_output
-    return corpus_size * per_doc / 1e6
+    return config.cost_usd(corpus_size * avg_input_tokens, corpus_size * avg_output_tokens)
 
 
 def write_annotations(path: str | Path, results: Iterable[AnnotationResult]) -> None:

@@ -182,6 +182,8 @@ def _write_rejections(config: RunConfig, rejections: Sequence[Rejection]) -> Non
     if rejections:
         write_text(config.out / "rejections.jsonl", "".join(stable_json_dumps(r._asdict()) + "\n" for r in rejections))
         logger.warning("%d corpus records rejected; see rejections.jsonl", len(rejections))
+    else:  # an earlier run's, into the same OUT
+        (config.out / "rejections.jsonl").unlink(missing_ok=True)
 
 
 def _read_corpus(config: RunConfig, path: Path, reduce):
@@ -223,7 +225,7 @@ def cmd_annotate(config: RunConfig) -> int:
             raise ConfigError(f"malformed record in mock file {config.mock}: {exc}") from None
         retry = MOCK_RETRY
     else:
-        transport = HttpTransport(pool_maxsize=config.concurrency)
+        transport = HttpTransport()
         retry = RetryPolicy()
 
     cache_path = config.cache if config.cache is not None else config.out / "cache.jsonl"
@@ -246,8 +248,9 @@ def cmd_annotate(config: RunConfig) -> int:
     if batch.failures:
         lines = "".join(stable_json_dumps(f.to_record()) + "\n" for f in batch.failures)
         write_text(config.out / "failures.jsonl", lines)
+    else:  # an earlier run's, into the same OUT
+        (config.out / "failures.jsonl").unlink(missing_ok=True)
 
-    cost = (batch.input_tokens * model_config.price_per_1m_input + batch.output_tokens * model_config.price_per_1m_output) / 1e6
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "toolkit_version": __version__,
@@ -263,7 +266,7 @@ def cmd_annotate(config: RunConfig) -> int:
             "n_failures": len(batch.failures),
             "input_tokens": batch.input_tokens,
             "output_tokens": batch.output_tokens,
-            "cost_usd": cost,
+            "cost_usd": model_config.cost_usd(batch.input_tokens, batch.output_tokens),
         },
     }
     write_json(config.out / "manifest_annotate.json", manifest)
@@ -440,6 +443,8 @@ def cmd_study(config: RunConfig) -> int:
                 [(m.family, *m.written(), m.n_obs, ";".join(m.flags)) for m in means],
             ),
         )
+    else:  # an earlier family run's, into the same OUT
+        (config.out / "marginal_means.csv").unlink(missing_ok=True)
 
     flagged = sorted(a.party_id for a in aggregates if "missing_meta" in a.flags)
     manifest = {

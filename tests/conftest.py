@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import Provider
 from negcamp.annotate import MockTransport
 from negcamp.ingest import gold_label_map, ingest_documents, ingest_gold, ingest_party_meta
 
@@ -53,3 +54,24 @@ def mock_map():
 @pytest.fixture
 def mock_transport(mock_map):
     return MockTransport(mock_map)
+
+
+PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY", "ALL_PROXY")
+
+
+@pytest.fixture
+def provider(monkeypatch):
+    """``provider(*replies)`` starts a loopback ``helpers.Provider``, closed
+    after the test. Proxy variables are cleared, so requests reach it
+    directly."""
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    started = []
+
+    def start(*replies):
+        started.append(Provider(*replies))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.close()

@@ -1,10 +1,15 @@
-"""Builders for inline documents, the synthetic study fixtures, a stub
-HTTP session, and JSON past Python's decoding limits."""
+"""Builders for inline documents, the synthetic study fixtures, a loopback
+chat-completion provider, and JSON past Python's decoding limits."""
 
 from __future__ import annotations
 
+import json
+import socket
+import struct
 import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -118,8 +123,6 @@ def synthetic_study(seed: int, n_parties: int = 151, family_offsets: dict[str, f
 def synthetic_study_files(tmp_path, seed: int = 7, docs_per_party: int = 20):
     """Corpus / annotations / party-meta files realizing the synthetic panel
     as discrete documents, for driving the CLI."""
-    import json
-
     rng = np.random.default_rng(seed)
     aggregates, party_meta, _ = synthetic_study(seed)
     corpus_lines = []
@@ -174,49 +177,130 @@ def synthetic_study_files(tmp_path, seed: int = 7, docs_per_party: int = 20):
     return corpus_path, annotations_path, meta_path
 
 
-class StubResponse:
-    """The parts of ``requests.Response`` that ``HttpTransport`` reads."""
+def respond(status: int, payload: object = None, headers: dict[str, str] | None = None):
+    """A reply of ``status`` with ``payload`` as its body: bytes as they
+    are, anything else but None as JSON."""
 
-    def __init__(self, status_code: int, payload: object = None, headers: dict[str, str] | None = None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._payload = payload
+    def reply(handler: BaseHTTPRequestHandler) -> None:
+        body = b"" if payload is None else payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        handler.send_response(status)
+        for name, value in {"Content-Length": str(len(body)), **(headers or {})}.items():
+            handler.send_header(name, value)
+        handler.end_headers()
+        handler.wfile.write(body)
 
-    def json(self) -> object:
-        if self._payload is None:
-            raise ValueError("no JSON body")
-        return self._payload
+    return reply
 
 
-def completion(text: str | None, prompt_tokens: int = 12) -> StubResponse:
-    """A 200 chat-completion response answering ``text``."""
+def completion(text: str | None, prompt_tokens: object = 12):
+    """A 200 chat-completion reply answering ``text``."""
     payload = {
         "choices": [{"message": {"content": text}}],
         "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": 1},
     }
-    return StubResponse(200, payload)
+    return respond(200, payload)
 
 
-class StubSession:
-    """Stands in for ``requests.Session`` so ``HttpTransport`` runs offline.
+def chunked(handler: BaseHTTPRequestHandler) -> None:
+    """A 200 completion answering "1" in two chunks of a chunked body."""
+    body = json.dumps({"choices": [{"message": {"content": "1"}}]}).encode()
+    handler.send_response(200)
+    handler.send_header("Transfer-Encoding", "chunked")
+    handler.end_headers()
+    for part in (body[:10], body[10:], b""):
+        handler.wfile.write(b"%x\r\n%s\r\n" % (len(part), part))
 
-    Each ``post`` plays the next reply of the script (an exception instance
-    is raised); the last reply repeats. Thread-safe.
-    """
 
-    def __init__(self, *replies: object):
+def reset(handler: BaseHTTPRequestHandler) -> None:
+    """Reset the connection instead of replying."""
+    handler.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    handler.connection.close()
+    handler.close_connection = True
+
+
+def cut_body(handler: BaseHTTPRequestHandler) -> None:
+    """Promise a 100-byte body, send 10 bytes of it, and hang up."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "100")
+    handler.end_headers()
+    handler.wfile.write(b'{"choices"')
+    handler.close_connection = True
+
+
+def stall(seconds: float):
+    """Wait ``seconds``, then answer "1"."""
+
+    def reply(handler: BaseHTTPRequestHandler) -> None:
+        time.sleep(seconds)
+        completion("1")(handler)
+
+    return reply
+
+
+def trickle(handler: BaseHTTPRequestHandler) -> None:
+    """Send the headers of a 30-byte body, then one byte every 0.4 s."""
+    handler.send_response(200)
+    handler.send_header("Content-Length", "30")
+    handler.end_headers()
+    for _ in range(30):
+        handler.wfile.write(b" ")
+        time.sleep(0.4)
+
+
+class Provider:
+    """A chat-completion endpoint on a loopback socket, on daemon threads.
+
+    Each request, a POST or a proxy's CONNECT, plays the next reply of the
+    script, the last repeating; a reply writes its answer to the request
+    handler (see ``respond``). Connections are kept alive. Records each
+    request's path, headers, body and client address."""
+
+    def __init__(self, *replies):
+        provider = self
         self.replies = replies
-        self.posts = 0
-        self.adapters: dict[str, object] = {}
+        self.paths: list[str] = []
+        self.headers: list = []
+        self.bodies: list[bytes] = []
+        self.clients: list[tuple[str, int]] = []
         self._lock = threading.Lock()
 
-    def mount(self, prefix, adapter):
-        self.adapters[prefix] = adapter
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # keep-alive
+            disable_nagle_algorithm = True  # else each reply waits about 40 ms for a delayed ACK
+            timeout = 30
 
-    def post(self, url, json, headers, timeout):
-        with self._lock:
-            reply = self.replies[min(self.posts, len(self.replies) - 1)]
-            self.posts += 1
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
+            def do_POST(self) -> None:
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with provider._lock:
+                    reply = provider.replies[min(len(provider.paths), len(provider.replies) - 1)]
+                    provider.paths.append(self.path)
+                    provider.headers.append(self.headers)
+                    provider.bodies.append(body)
+                    provider.clients.append(self.client_address)
+                reply(self)
+
+            do_CONNECT = do_POST
+
+            def log_message(self, format, *args) -> None:
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.daemon_threads = True
+        self.server.handle_error = lambda request, client_address: None  # a client that hung up first
+        threading.Thread(target=self.server.serve_forever, args=(0.05,), name="provider", daemon=True).start()
+
+    @property
+    def requests(self) -> int:
+        return len(self.paths)
+
+    @property
+    def port(self) -> int:
+        return self.server.server_address[1]
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.port}/v1/chat/completions"
+
+    def close(self) -> None:
+        self.server.shutdown()
+        self.server.server_close()

@@ -2,6 +2,7 @@ import email.utils
 import json
 import random
 import signal
+import socket
 import sys
 import threading
 import time
@@ -10,11 +11,10 @@ from contextlib import closing
 from datetime import datetime, timedelta, timezone
 
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from helpers import DIGIT_LIMIT, JSON_PAST_LIMITS, StubResponse, StubSession, completion, make_corpus, make_doc
+from helpers import DIGIT_LIMIT, JSON_PAST_LIMITS, chunked, completion, cut_body, make_corpus, make_doc, reset, respond, stall, trickle
 import negcamp.annotate
 from negcamp.annotate import (
     _ANNOTATION_LINE,
@@ -546,113 +546,188 @@ class TestAnnotateBatch:
 MALFORMED_USAGE = [
     completion("1", prompt_tokens=None),
     completion("1", prompt_tokens="many"),
-    StubResponse(200, {"choices": [{"message": {"content": "1"}}], "usage": [1]}),
+    respond(200, {"choices": [{"message": {"content": "1"}}], "usage": [1]}),
 ]
 MALFORMED_USAGE_IDS = ["null-token-count", "text-token-count", "usage-not-object"]
 
 
-class TestHttpTransport:
-    def classify(self, session, sleeps):
-        transport = HttpTransport(api_key="test-key", session=session)
-        policy = RetryPolicy(sleep=sleeps.append)
-        return classify_one(transport, CONFIG, prompt_for("d1"), "d1", retry=policy)
+def closed_port() -> int:
+    """A loopback port that refuses connections."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
-    def test_completion_parsed(self):
-        result = self.classify(StubSession(completion("1", prompt_tokens=12)), [])
+
+class TestHttpTransport:
+    def classify(self, url, sleeps, timeout=60.0, attempts=5):
+        transport = HttpTransport(api_key="test-key", timeout=timeout)
+        policy = RetryPolicy(attempts=attempts, sleep=sleeps.append)
+        return classify_one(transport, CONFIG._replace(endpoint_url=url), prompt_for("d1"), "d1", retry=policy)
+
+    def test_completion_parsed(self, provider):
+        server = provider(completion("1", prompt_tokens=12))
+        result = self.classify(f"{server.url}?api-version=1#fragment", [])
         assert (result.label, result.input_tokens, result.output_tokens) == (1, 12, 1)
+        prompt = prompt_for("d1")
+        assert server.bodies == [
+            b'{"model": "gpt-4o-mini-2024-07-18", "temperature": 0.0, "max_tokens": 4, "messages": [{"role": "system", '
+            b'"content": ' + json.dumps(prompt.system_text).encode() + b'}, {"role": "user", "content": '
+            + json.dumps(prompt.user_text).encode() + b"}]}"
+        ]
+        assert server.paths == ["/v1/chat/completions?api-version=1"]
+        assert (server.headers[0]["Authorization"], server.headers[0]["Content-Type"]) == ("Bearer test-key", "application/json")
+
+    def test_missing_usage_counts_no_tokens(self, provider):
+        server = provider(respond(200, {"choices": [{"message": {"content": "0"}}]}))
+        result = self.classify(server.url, [])
+        assert (result.label, result.input_tokens, result.output_tokens) == (0, 0, 0)
 
     @pytest.mark.parametrize(
         "first",
-        [StubResponse(408), StubResponse(409), StubResponse(429), StubResponse(500), StubResponse(503),
-         requests.ConnectionError("refused"), requests.Timeout("slow"), requests.exceptions.ChunkedEncodingError("cut")],
-        ids=["408", "409", "429", "500", "503", "connection", "timeout", "cut-body"],
+        [respond(408), respond(409), respond(429), respond(500), respond(503), reset, stall(1.0), cut_body],
+        ids=["408", "409", "429", "500", "503", "reset", "timeout", "cut-body"],
     )
-    def test_transient_failures_retried(self, first):
-        session, sleeps = StubSession(first, completion("1")), []
-        assert self.classify(session, sleeps).label == 1
-        assert session.posts == 2
+    def test_transient_failures_retried(self, provider, first):
+        server, sleeps = provider(first, completion("1")), []
+        assert self.classify(server.url, sleeps, timeout=0.5).label == 1
+        assert server.requests == 2
+        assert len(sleeps) == 1
+
+    def test_refused_connection_retried(self):
+        sleeps = []
+        with pytest.raises(TransportFailure) as err:
+            self.classify(f"http://127.0.0.1:{closed_port()}/v1/chat/completions", sleeps, attempts=2)
+        assert err.value.attempts == 2
+        assert "ConnectionRefusedError" in str(err.value)
         assert len(sleeps) == 1
 
     @pytest.mark.parametrize(
         "reply",
-        [StubResponse(400), StubResponse(404), StubResponse(422), StubResponse(200), completion(None),
-         requests.exceptions.InvalidURL("bad url"), *MALFORMED_USAGE],
-        ids=["400", "404", "422", "no-json", "null-content", "invalid-url", *MALFORMED_USAGE_IDS],
+        [respond(400), respond(404), respond(422), respond(200), respond(200, b"{not json"), completion(None),
+         *MALFORMED_USAGE],
+        ids=["400", "404", "422", "no-json", "bad-json", "null-content", *MALFORMED_USAGE_IDS],
     )
-    def test_permanent_failures_fail_on_first_response(self, reply):
-        session, sleeps = StubSession(reply), []
+    def test_permanent_failures_fail_on_first_response(self, provider, reply):
+        server, sleeps = provider(reply), []
         with pytest.raises(TransportFailure) as err:
-            self.classify(session, sleeps)
+            self.classify(server.url, sleeps)
         assert err.value.attempts == 1
-        assert session.posts == 1
+        assert server.requests == 1
         assert sleeps == []
 
-    def test_retry_after_hint_honoured(self):
-        session, sleeps = StubSession(StubResponse(429, headers={"Retry-After": "30"}), completion("0")), []
-        assert self.classify(session, sleeps).label == 0
+    @pytest.mark.parametrize(
+        "url",
+        ["not a url", "ftp://127.0.0.1:{port}/v1", "http:///v1", "http://127.0.0.1:port/v1", "http://127.0.0.1:{port}/v1 x"],
+        ids=["no-scheme", "ftp", "no-host", "bad-port", "space-in-path"],
+    )
+    def test_invalid_url_fails_at_once(self, provider, url):
+        server, sleeps = provider(completion("1")), []
+        with pytest.raises(TransportFailure) as err:
+            self.classify(url.format(port=server.port), sleeps)
+        assert err.value.attempts == 1
+        assert sleeps == []
+        assert server.requests == 0
+
+    def test_retry_after_hint_honoured(self, provider):
+        server, sleeps = provider(respond(429, headers={"Retry-After": "30"}), completion("0")), []
+        assert self.classify(server.url, sleeps).label == 0
         assert sleeps[0] >= 30.0
 
-    def retry_after(self, header):
-        transport = HttpTransport(api_key="test-key", session=StubSession(StubResponse(429, headers={"Retry-After": header})))
-        with pytest.raises(TransportError) as err:
-            transport.complete("system", "user", CONFIG)
-        return err.value.retry_after
+    @pytest.fixture
+    def retry_after(self, provider):
+        def retry_after(header):
+            server = provider(respond(429, headers={"Retry-After": header}))
+            with pytest.raises(TransportError) as err:
+                HttpTransport(api_key="test-key").complete("system", "user", CONFIG._replace(endpoint_url=server.url))
+            return err.value.retry_after
 
-    def test_retry_after_http_date_in_seconds_from_now(self):
+        return retry_after
+
+    def test_retry_after_http_date_in_seconds_from_now(self, retry_after):
         in_two_minutes = datetime.now(timezone.utc) + timedelta(seconds=120)
-        assert 110.0 <= self.retry_after(email.utils.format_datetime(in_two_minutes, usegmt=True)) <= 120.0
+        assert 110.0 <= retry_after(email.utils.format_datetime(in_two_minutes, usegmt=True)) <= 120.0
 
-    def test_retry_after_unzoned_date_read_as_utc(self, monkeypatch):
+    def test_retry_after_unzoned_date_read_as_utc(self, retry_after, monkeypatch):
         in_two_minutes = datetime.now(timezone.utc) + timedelta(seconds=120)
         header = email.utils.format_datetime(in_two_minutes.replace(tzinfo=None))  # "... -0000"
         try:
             with monkeypatch.context() as patch:
                 patch.setenv("TZ", "XST+05")  # local time five hours behind UTC
                 time.tzset()
-                assert 110.0 <= self.retry_after(header) <= 120.0
+                assert 110.0 <= retry_after(header) <= 120.0
         finally:
             time.tzset()
 
     @pytest.mark.parametrize("header", ["Wed, 21 Oct 2015 07:28:00 GMT", "Wed, 21 Oct 2015 07:28:00 -0000"])
-    def test_retry_after_past_date_is_zero(self, header):
-        assert self.retry_after(header) == 0.0
+    def test_retry_after_past_date_is_zero(self, retry_after, header):
+        assert retry_after(header) == 0.0
 
     @pytest.mark.parametrize("header", ["soon", "", "Wed, 32 Oct 2015 07:28:00 GMT"])
-    def test_retry_after_unparseable_is_none(self, header):
-        assert self.retry_after(header) is None
+    def test_retry_after_unparseable_is_none(self, retry_after, header):
+        assert retry_after(header) is None
 
-    def test_own_session_pools_one_connection_per_request_in_flight(self):
-        transport = HttpTransport(api_key="test-key", pool_maxsize=16)
-        with closing(transport._session) as session:
-            for url in ("https://api.example/v1", "http://127.0.0.1:9/v1"):
-                adapter = session.get_adapter(url)
-                assert adapter._pool_maxsize == 16
-                assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+    def test_trickling_body_bounded_by_timeout(self, provider):
+        server = provider(trickle)
+        transport = HttpTransport(api_key="test-key", timeout=1.0)
+        started = time.monotonic()
+        with pytest.raises(TransportError) as err:
+            transport.complete("system", "user", CONFIG._replace(endpoint_url=server.url))
+        assert time.monotonic() - started < 1.5
+        assert err.value.retryable
+        assert str(err.value) == "request failed: TimeoutError"
 
-    def test_given_session_left_alone(self):
-        with closing(requests.Session()) as session:
-            adapters = dict(session.adapters)
-            HttpTransport(api_key="test-key", session=session, pool_maxsize=16)
-            assert session.adapters == adapters
-            assert session.get_adapter("https://api.example/v1")._pool_maxsize == requests.adapters.DEFAULT_POOLSIZE
+    @pytest.mark.parametrize(
+        "reply, connections",
+        [(completion("1"), 1), (chunked, 1), (respond(200, {"choices": [{"message": {"content": "1"}}]}, {"Connection": "close"}), 3)],
+        ids=["content-length", "chunked", "connection-close"],
+    )
+    def test_connection_kept_alive_unless_the_reply_closes_it(self, provider, reply, connections):
+        server = provider(reply)
+        transport, config = HttpTransport(api_key="test-key"), CONFIG._replace(endpoint_url=server.url)
+        for _ in range(3):
+            assert transport.complete("system", "user", config).text == "1"
+        assert server.requests == 3
+        assert len(set(server.clients)) == connections
+
+    def test_plain_http_through_the_environments_proxy(self, provider, monkeypatch):
+        proxy = provider(completion("1"))
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.port}")
+        config = CONFIG._replace(endpoint_url="http://api.example.invalid/v1/chat/completions")
+        assert HttpTransport(api_key="test-key").complete("system", "user", config).text == "1"
+        assert proxy.paths == ["http://api.example.invalid/v1/chat/completions"]
+
+    def test_https_tunnelled_through_the_environments_proxy(self, provider, monkeypatch):
+        proxy = provider(respond(502))
+        monkeypatch.setenv("https_proxy", f"127.0.0.1:{proxy.port}")  # no scheme: http
+        with pytest.raises(TransportError) as err:
+            HttpTransport(api_key="test-key").complete("system", "user", CONFIG)
+        assert err.value.retryable
+        assert proxy.paths == ["api.openai.com:443"]  # CONNECT's target
+
+    def test_no_proxy_goes_direct(self, provider, monkeypatch):
+        server = provider(completion("1"))
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert HttpTransport(api_key="test-key").complete("system", "user", CONFIG._replace(endpoint_url=server.url)).text == "1"
+        assert server.requests == 1
 
     @pytest.mark.parametrize("reply", MALFORMED_USAGE, ids=MALFORMED_USAGE_IDS)
-    def test_malformed_usage_fails_each_document_as_transport(self, corpus, reply):
-        transport = HttpTransport(api_key="test-key", session=StubSession(reply))
-        batch = annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+    def test_malformed_usage_fails_each_document_as_transport(self, corpus, provider, reply):
+        config = CONFIG._replace(endpoint_url=provider(reply).url)
+        batch = annotate_batch(corpus, BOOK, VARIANT, config, HttpTransport(api_key="test-key"), concurrency_limit=4, retry=MOCK_RETRY)
         assert batch.results == ()
         assert [(f.doc_id, f.kind) for f in batch.failures] == [(d.id, "transport") for d in corpus]
         assert all(f.detail.endswith("after 1 attempts: unparseable completion payload") for f in batch.failures)
 
     @pytest.mark.parametrize("status", [401, 403])
-    def test_rejected_key_stops_the_batch(self, corpus, status):
-        session = StubSession(StubResponse(status))
-        transport = HttpTransport(api_key="test-key", session=session)
+    def test_rejected_key_stops_the_batch(self, corpus, provider, status):
+        server = provider(respond(status))
+        config = CONFIG._replace(endpoint_url=server.url)
         with pytest.raises(AuthenticationError) as err:
-            annotate_batch(corpus, BOOK, VARIANT, CONFIG, transport, concurrency_limit=4, retry=MOCK_RETRY)
+            annotate_batch(corpus, BOOK, VARIANT, config, HttpTransport(api_key="test-key"), concurrency_limit=4, retry=MOCK_RETRY)
         assert str(status) in str(err.value)
         assert "test-key" not in str(err.value)
-        assert session.posts <= 4
+        assert server.requests <= 4
 
 
 class TestEstimateCost:

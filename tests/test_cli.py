@@ -1,15 +1,20 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
-import requests
 
-from helpers import JSON_PAST_LIMITS, StubResponse, StubSession, synthetic_study_files
+import negcamp
+from helpers import JSON_PAST_LIMITS, completion, respond, synthetic_study_files
 from negcamp import cli
-from negcamp.annotate import MockTransport
+from negcamp.annotate import MockTransport, read_labels
 from negcamp.cli import main
 from negcamp.ingest import Corpus
+
+
+SRC = os.path.dirname(os.path.dirname(negcamp.__file__))
 
 
 def run(*argv):
@@ -143,18 +148,32 @@ class TestAnnotateCommand:
         assert code == 2
         assert "NEGCAMP_API_KEY" in capsys.readouterr().err
 
-    def test_rejected_api_key_exits_2(self, data_dir, tmp_path, capsys, monkeypatch):
-        session = StubSession(StubResponse(401))
+    def test_rejected_api_key_exits_2(self, data_dir, tmp_path, capsys, monkeypatch, provider):
+        server = provider(respond(401))
         monkeypatch.setenv("NEGCAMP_API_KEY", "test-key")
-        monkeypatch.setenv("NEGCAMP_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
-        monkeypatch.setattr(requests, "Session", lambda: session)
+        monkeypatch.setenv("NEGCAMP_ENDPOINT", server.url)
         code = run("annotate", "--corpus", data_dir / "corpus.jsonl", "--concurrency", 4, "--out", tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert "401" in err and "test-key" not in err
-        assert session.posts <= 4
+        assert server.requests <= 4
         assert not (tmp_path / "annotations.jsonl").exists()
-        assert session.adapters["https://"]._pool_maxsize == 4  # one connection per concurrent request
+
+    def test_live_endpoint_gives_the_mock_run_s_labels_without_requests(self, data_dir, golden_dir, tmp_path, provider):
+        # one worker takes the documents in id order, so the script answers each as the mock file does
+        with (data_dir / "mock_responses.jsonl").open(encoding="utf-8") as fh:
+            mock = dict(sorted((r["doc_id"], r["response"]) for r in map(json.loads, fh)))
+        server = provider(*map(completion, mock.values()))
+        code = (
+            "import sys\nsys.modules['requests'] = None\nfrom negcamp.cli import main\n"
+            f"sys.exit(main(['annotate', '--corpus', {str(data_dir / 'corpus.jsonl')!r}, '--concurrency', '1', "
+            f"'--out', {str(tmp_path)!r}]))"
+        )
+        env = {**os.environ, "NEGCAMP_API_KEY": "test-key", "NEGCAMP_ENDPOINT": server.url, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert server.requests == 60
+        assert read_labels(tmp_path / "annotations.jsonl") == read_labels(golden_dir / "annotations.jsonl")
 
     def test_config_file(self, data_dir, tmp_path):
         config = {
@@ -672,3 +691,48 @@ class TestStreamedCorpus:
 
         monkeypatch.setattr(Corpus, "__init__", refuse)
         self.run_both(data_dir, golden_dir, data_dir / "corpus.jsonl", tmp_path / "out")
+
+
+def with_bad_record(data_dir, tmp_path):
+    """The fixture corpus plus one record without an id: one rejection."""
+    corpus = tmp_path / "corpus_with_rejection.jsonl"
+    corpus.write_bytes((data_dir / "corpus.jsonl").read_bytes() + b'{"text": "no id"}\n')
+    return corpus
+
+
+class TestNoStaleOutputs:
+    """A command run into an OUT removes the outputs it owns that this run
+    did not write, so none of an earlier run's survives."""
+
+    def test_clean_annotate_removes_failures_and_rejections(self, data_dir, tmp_path):
+        full = (data_dir / "mock_responses.jsonl").read_text(encoding="utf-8").splitlines()
+        mock = tmp_path / "mock_without_d001.jsonl"
+        mock.write_text("".join(line + "\n" for line in full if json.loads(line)["doc_id"] != "d001"), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run("annotate", "--corpus", with_bad_record(data_dir, tmp_path), "--mock", mock, "--out", out)
+        assert code == 3
+        assert (out / "failures.jsonl").exists() and (out / "rejections.jsonl").exists()
+        assert annotate_fixture(data_dir, out) == 0
+        assert not (out / "failures.jsonl").exists()
+        assert not (out / "rejections.jsonl").exists()
+
+    def test_m1_after_family_removes_marginal_means(self, synth, tmp_path):
+        corpus, annotations, meta = synth
+        common = ["--corpus", corpus, "--annotations", annotations, "--party-meta", meta, "--min-tweets", 0]
+        assert run("study", *common, "--model-variant", "family", "--out", tmp_path) == 0
+        assert (tmp_path / "marginal_means.csv").exists()
+        assert run("study", *common, "--model-variant", "m1", "--out", tmp_path) == 0
+        assert not (tmp_path / "marginal_means.csv").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "study"])
+    def test_corpus_without_rejections_removes_them(self, data_dir, golden_dir, tmp_path, command):
+        out = tmp_path / "out"
+        common = ["--annotations", golden_dir / "annotations.jsonl", "--out", out]
+        if command == "evaluate":
+            common += ["--gold", data_dir / "gold.csv"]
+        else:
+            common += ["--party-meta", data_dir / "parties.csv", "--min-tweets", 0]
+        assert run(command, "--corpus", with_bad_record(data_dir, tmp_path), *common) == 0
+        assert (out / "rejections.jsonl").exists()
+        assert run(command, "--corpus", data_dir / "corpus.jsonl", *common) == 0
+        assert not (out / "rejections.jsonl").exists()

@@ -1,9 +1,10 @@
 """Start-up cost guard: each case runs in a fresh interpreter and checks
-which heavy third-party modules are in ``sys.modules`` afterwards.
+which heavy modules are in ``sys.modules`` afterwards.
 
 No command needs numpy or scipy: ``study`` fits its model in exact integer
-arithmetic. ``annotate`` with ``--mock``, ``evaluate`` and ``study`` load
-none of the modules below; only the HTTP client loads requests, itself.
+arithmetic. No command needs requests either. ``annotate`` with ``--mock``,
+``evaluate`` and ``study`` load none of the modules below; only the HTTP
+client loads ``http.client`` and ``ssl``, itself.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import negcamp
 
 SRC = Path(negcamp.__file__).resolve().parents[1]
-HEAVY = ("numpy", "scipy", "scipy.linalg", "scipy.special", "scipy.stats", "requests")
+HEAVY = ("numpy", "scipy", "scipy.linalg", "scipy.special", "scipy.stats", "requests", "http.client", "ssl")
 
 
 def loaded_after(code, modules=HEAVY, options=()):
